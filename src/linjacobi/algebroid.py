@@ -15,7 +15,14 @@ from .report import Report
 
 
 class AlgebroidError(ValueError):
-    pass
+    """Data that is not a Lie algebroid (with a cocycle).  When a pair
+    fails verification, the error carries both verification reports."""
+
+    def __init__(self, message: str, algebroid_report: Optional[Report] = None,
+                 cocycle_report: Optional[Report] = None):
+        super().__init__(message)
+        self.algebroid_report = algebroid_report
+        self.cocycle_report = cocycle_report
 
 
 def _as_poly(chart: Chart, v: Union[Scalar, ExpPoly]) -> ExpPoly:

@@ -58,9 +58,6 @@ class Chart:
     def has(self, name: str) -> bool:
         return any(n == name for n, _ in self.coords)
 
-    def role(self, name: str) -> str:
-        return self.coords[self.index(name)][1]
-
     @property
     def fiber_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, (_, r) in enumerate(self.coords) if r == "fiber")
@@ -68,10 +65,6 @@ class Chart:
     @property
     def fiber_names(self) -> Tuple[str, ...]:
         return tuple(n for n, r in self.coords if r == "fiber")
-
-    @property
-    def nonfiber_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, (_, r) in enumerate(self.coords) if r != "fiber")
 
     @property
     def time_index(self) -> Optional[int]:

@@ -32,30 +32,33 @@ class C2Violation(LinearityViolation):
     pass
 
 
-class DerivedVanishingViolation(LinearityViolation):
-    pass
-
-
 class AlgebroidWithCocycle:
-    """A validated pair of an algebroid patch and a 1-cocycle."""
+    """A verified pair of an algebroid patch and a 1-cocycle.
 
-    __slots__ = ("algebroid", "cocycle")
+    The constructor runs verify_algebroid and verify_cocycle once each and
+    keeps their reports as `algebroid_report` and `cocycle_report`; a pair
+    that fails either raises an AlgebroidError carrying both reports.
+    """
 
-    def __init__(self, algebroid: AlgebroidPatch, cocycle: Optional[Cocycle] = None,
-                 validate: bool = True):
+    __slots__ = ("algebroid", "cocycle", "algebroid_report", "cocycle_report")
+
+    def __init__(self, algebroid: AlgebroidPatch, cocycle: Optional[Cocycle] = None):
         if cocycle is None:
             cocycle = Cocycle.zero(algebroid.base_chart, algebroid.rank)
         if cocycle.rank != algebroid.rank:
             raise AlgebroidError("cocycle rank mismatch")
-        if validate:
-            rep = verify_algebroid(algebroid)
-            if not rep.passed:
-                raise AlgebroidError(f"not a Lie algebroid:\n{rep.to_text()}")
-            rep = verify_cocycle(algebroid, cocycle)
-            if not rep.passed:
-                raise AlgebroidError(f"not a 1-cocycle:\n{rep.to_text()}")
+        alg_rep = verify_algebroid(algebroid)
+        coc_rep = verify_cocycle(algebroid, cocycle)
+        if not alg_rep.passed:
+            raise AlgebroidError(f"not a Lie algebroid:\n{alg_rep.to_text()}",
+                                 alg_rep, coc_rep)
+        if not coc_rep.passed:
+            raise AlgebroidError(f"not a 1-cocycle:\n{coc_rep.to_text()}",
+                                 alg_rep, coc_rep)
         object.__setattr__(self, "algebroid", algebroid)
         object.__setattr__(self, "cocycle", cocycle)
+        object.__setattr__(self, "algebroid_report", alg_rep)
+        object.__setattr__(self, "cocycle_report", coc_rep)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebroidWithCocycle is immutable")
@@ -230,8 +233,11 @@ def psi_inverse(J: JacobiStructure,
         phi_i   =  {mu_i, 1},
         rho^l_i =  {mu_i, x^l} - x^l {mu_i, 1}.
 
-    Raises C1Violation / C2Violation / DerivedVanishingViolation when the
-    structure is not linear in the required sense.
+    Past check_C1 and check_C2 every bracket read here is fiber-linear or
+    basic as the formula needs, so C1Violation and C2Violation are the
+    only linearity rejections.  J is not checked to be Jacobi: building
+    the recovered pair verifies it, and raises AlgebroidError when it is
+    not an algebroid with a cocycle.
     """
     dual = J.chart
     fib = dual.fiber_indices
@@ -251,28 +257,12 @@ def psi_inverse(J: JacobiStructure,
     one = ExpPoly.const(dual, 1)
     mu = [ExpPoly.var(dual, dual.names[i]) for i in fib]
 
-    # derived vanishings (Eq. (8)-type): re-asserted defensively; these are
-    # generator consequences of C1/C2 and cannot fail past the checks above
-    for a, na in enumerate(base.names):
-        b = jacobi_bracket(J, ExpPoly.var(dual, na), one)
-        if not b.is_zero:
-            raise DerivedVanishingViolation(
-                f"{{{na}, 1}} does not vanish", b.render())
-        for nb in base.names[a + 1:]:
-            b = jacobi_bracket(J, ExpPoly.var(dual, na), ExpPoly.var(dual, nb))
-            if not b.is_zero:
-                raise DerivedVanishingViolation(
-                    f"{{{na}, {nb}}} does not vanish", b.render())
-
     structure: Dict[Tuple[int, int, int], ExpPoly] = {}
     for i in range(n):
         for j in range(i + 1, n):
             br = jacobi_bracket(J, mu[i], mu[j])
             if br.is_zero:
                 continue
-            if not br.is_linear():
-                raise C1Violation(
-                    f"{{mu_{i+1}, mu_{j+1}}} is not fiber-linear", br.render())
             cs = _fiber_linear_decompose(br, dual, base)
             for k, c in enumerate(cs):
                 if not c.is_zero:
@@ -282,15 +272,10 @@ def psi_inverse(J: JacobiStructure,
     phi_comps = []
     for i in range(n):
         pv = jacobi_bracket(J, mu[i], one)
-        if not pv.is_basic():
-            raise C2Violation(f"{{mu_{i+1}, 1}} is not basic", pv.render())
         phi_comps.append(pv.transfer(base))
         for l, name in enumerate(base.names):
             xl = ExpPoly.var(dual, name)
             r = jacobi_bracket(J, mu[i], xl) - xl * pv
-            if not r.is_basic():
-                raise DerivedVanishingViolation(
-                    f"rho component ({name},{i+1}) is not basic", r.render())
             if not r.is_zero:
                 anchor[(l, i + 1)] = r.transfer(base)
 
@@ -311,20 +296,17 @@ def roundtrip_check(pair: AlgebroidWithCocycle) -> Report:
         try:
             back = psi_inverse(J)
         except LinearityViolation as exc:
-            slot["ok"] = False
-            slot["residual"] = f"{exc}: {exc.residual}"
+            back = None
+            slot["residual"] = failure = f"{exc}: {exc.residual}"
         else:
             diffs = _pair_diff(pair, back)
             slot["ok"] = not diffs
             slot["residual"] = "; ".join(diffs)
     with rep.timed("forward_after_inverse") as slot:
-        try:
-            back = psi_inverse(J)
-            J2 = psi_forward(back, dual=J.chart)
-        except LinearityViolation as exc:
-            slot["ok"] = False
-            slot["residual"] = f"{exc}: {exc.residual}"
+        if back is None:
+            slot["residual"] = failure
         else:
+            J2 = psi_forward(back, dual=J.chart)
             ok = J2 == J
             slot["ok"] = ok
             if not ok:

@@ -401,11 +401,7 @@ def lie_derivative(X: Multivector, T: Union[Multivector, DiffForm]):
     if isinstance(ia, ExpPoly):
         ia = DiffForm.from_function(ia)
     it = interior(X, T) if T.grade >= 1 else ExpPoly.zero(T.chart)
-    if isinstance(it, ExpPoly):
-        dit = exterior_d(it)
-    else:
-        dit = exterior_d(it)
-    return ia + dit
+    return ia + exterior_d(it)
 
 
 # ---------------------------------------------------------------------------

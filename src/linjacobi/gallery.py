@@ -15,8 +15,7 @@ from .ring import ExpPoly
 from .exterior import (DiffForm, GradeError, Multivector, check_nondegenerate,
                        sn_bracket)
 from .algebroid import (AlgebroidError, AlgebroidPatch, Cocycle,
-                        cotangent_algebroid, jacobi_algebroid,
-                        verify_algebroid, verify_cocycle)
+                        cotangent_algebroid, jacobi_algebroid)
 from .jacobi import (JacobiStructure, check_C1, check_C2, contact_to_jacobi,
                      verify_jacobi)
 from .correspondence import (AlgebroidWithCocycle, forward_report,
@@ -230,8 +229,7 @@ def build_case(name: str) -> GalleryCase:
     if head == "tangent_lift_so3star" and arg is None:
         base = Chart((("x1", "base"), ("x2", "base"), ("x3", "base")))
         v = lambda n: ExpPoly.var(base, n)
-        L = Multivector(base, 2, {(0, 1): v("x3"), (0, 2): -v("x2"),
-                                  (1, 2): v("x1")})
+        L = _so3star_bivector(base)
         A = cotangent_algebroid(L)
         # the rotation field x2 d/dx1 - x1 d/dx2 preserves L
         X = Multivector(base, 1, {(0,): v("x2"), (1,): -v("x1")})
@@ -303,8 +301,8 @@ def run_case(case: GalleryCase) -> Report:
 
 def _run_pair(case: GalleryCase, rep: Report) -> None:
     pair = case.pair
-    rep.extend(verify_algebroid(pair.algebroid), "algebroid.")
-    rep.extend(verify_cocycle(pair.algebroid, pair.cocycle), "cocycle.")
+    rep.extend(pair.algebroid_report, "algebroid.")
+    rep.extend(pair.cocycle_report, "cocycle.")
     J = psi_forward(pair, case.dual)
     rep.extend(verify_jacobi(J), "jacobi.")
 
@@ -356,9 +354,7 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
             X = Multivector(base, 1,
                             {(i,): p for i, p in enumerate(pair.cocycle.components)
                              if not p.is_zero})
-            L = Multivector(base, 2,
-                            {k: v for k, v in _so3star_bivector(base).comps.items()})
-            res = sn_bracket(X, L)
+            res = sn_bracket(X, _so3star_bivector(base))
             slot["ok"] = res.is_zero
             slot["residual"] = res.render()
 

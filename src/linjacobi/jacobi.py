@@ -161,26 +161,28 @@ def check_C2(J: JacobiStructure) -> Report:
 # ---------------------------------------------------------------------------
 
 def _solve_unit_system(mat: List[List[ExpPoly]], rhs: List[ExpPoly]) -> List[ExpPoly]:
-    """Solve v M = rhs exactly via the adjugate; the determinant must be a
+    """Solve v M = rhs exactly by Cramer's rule; the determinant must be a
     unit of the coefficient ring (c * s^k, c != 0)."""
     n = len(mat)
     chart = rhs[0].chart
 
-    def det(rows: List[int], cols: List[int]) -> ExpPoly:
+    def det(rows: List[int], cols: List[int], repl: int) -> ExpPoly:
+        """Laplace expansion of M with row `repl` replaced by rhs (-1: none)."""
         if not rows:
             return ExpPoly.const(chart, 1)
         i = rows[0]
         out = ExpPoly.zero(chart)
         for pos, j in enumerate(cols):
-            a = mat[i][j]
+            a = rhs[j] if i == repl else mat[i][j]
             if a.is_zero:
                 continue
-            sub = det(rows[1:], [c for c in cols if c != j])
+            sub = det(rows[1:], [c for c in cols if c != j], repl)
             term = a * sub
             out = out + term if pos % 2 == 0 else out - term
         return out
 
-    full = det(list(range(n)), list(range(n)))
+    idx = list(range(n))
+    full = det(idx, idx, -1)
     cv = None
     if len(full.terms) == 1:
         (exps, k), c = next(iter(full.terms.items()))
@@ -190,32 +192,9 @@ def _solve_unit_system(mat: List[List[ExpPoly]], rhs: List[ExpPoly]) -> List[Exp
         raise ContactError(
             f"flat map not exactly invertible over the ring (det = {full.render()})")
     c, k = cv
-    # v M = rhs  <=>  M^T v^T = rhs^T; cofactor solve column by column
-    sol = []
-    for j in range(n):
-        # replace column ... we solve sum_i v_i M[i][j] = rhs[j]; use Cramer on M^T
-        rows = list(range(n))
-        num = ExpPoly.zero(chart)
-        # determinant of M^T with row j replaced by rhs == det of M with col j replaced
-        def det_repl(rows: List[int], cols: List[int]) -> ExpPoly:
-            if not rows:
-                return ExpPoly.const(chart, 1)
-            i = rows[0]
-            out = ExpPoly.zero(chart)
-            for pos, col in enumerate(cols):
-                a = rhs[col] if i == j else mat[i][col]
-                if a.is_zero:
-                    continue
-                sub = det_repl(rows[1:], [cc for cc in cols if cc != col])
-                term = a * sub
-                out = out + term if pos % 2 == 0 else out - term
-            return out
-
-        # Cramer for v M = rhs: v_j = det(M with ROW j replaced by rhs) / det(M)
-        num = det_repl(rows, list(range(n)))
-        inv_unit = ExpPoly(chart, {((0,) * chart.dim, -k): 1 / c})
-        sol.append(num * inv_unit)
-    return sol
+    inv_unit = ExpPoly(chart, {((0,) * chart.dim, -k): 1 / c})
+    # v_j = det(M with row j replaced by rhs) / det(M)
+    return [det(idx, idx, j) * inv_unit for j in range(n)]
 
 
 def contact_to_jacobi(eta: DiffForm) -> JacobiStructure:

@@ -10,8 +10,6 @@ from typing import Iterator, List
 
 PASS = "pass"
 FAIL = "fail"
-ERROR = "error"
-INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -31,21 +29,14 @@ class Report:
         self.checks.append(Check(name, PASS if passed else FAIL,
                                  "" if passed else residual, ms))
 
-    def add_verdict(self, name: str, verdict: str, residual: str = "",
-                    ms: float = 0.0) -> None:
-        self.checks.append(Check(name, verdict, residual, ms))
-
     @contextmanager
     def timed(self, name: str) -> Iterator[dict]:
         """Collects {'ok': bool, 'residual': str} and records elapsed time."""
-        slot = {"ok": False, "residual": "", "verdict": None}
+        slot = {"ok": False, "residual": ""}
         t0 = time.perf_counter()
         yield slot
-        ms = (time.perf_counter() - t0) * 1000.0
-        if slot["verdict"] is not None:
-            self.add_verdict(name, slot["verdict"], slot["residual"], ms)
-        else:
-            self.add(name, slot["ok"], slot["residual"], ms)
+        self.add(name, slot["ok"], slot["residual"],
+                 (time.perf_counter() - t0) * 1000.0)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:

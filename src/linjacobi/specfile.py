@@ -220,8 +220,6 @@ class _Parser:
             if t.text == "patch":
                 self._parse_patch(spec)
             elif t.text == "algebroid":
-                if "patch" not in seen and spec.chart.dim == 0:
-                    pass  # algebroid over a point needs no patch section
                 self._parse_algebroid(spec)
             elif t.text == "cocycle":
                 self._parse_cocycle(spec)

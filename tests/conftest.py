@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 from linjacobi import Chart, ExpPoly, Multivector
@@ -34,3 +35,20 @@ def random_multivector(rng: random.Random, chart: Chart, grade: int,
 
 def base_chart(dim: int) -> Chart:
     return Chart(tuple((f"x{i}", "base") for i in range(1, dim + 1)))
+
+
+def count_calls(monkeypatch, fn):
+    """Rebind every `linjacobi` module's reference to `fn` to a counting
+    wrapper; returns the list that records one entry per call."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "linjacobi" or name.startswith("linjacobi."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, spy)
+    return calls

@@ -185,3 +185,33 @@ def test_quick_fuzz(tmp_path):
         p.write_text(text)
         code, _ = run_command(["verify-jacobi", str(p)])
         assert code in (0, 1, 2)
+
+
+NOT_AN_ALGEBROID = """\
+algebroid
+  rank 3
+  c[1,2] = (1)*e_1
+  c[2,3] = (1)*e_2
+end
+
+cocycle
+  phi[1] = 1
+  phi[2] = 0
+  phi[3] = 0
+end
+"""
+
+
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+def test_unverified_pair_prints_both_reports(tmp_path, command):
+    p = tmp_path / "bad.spec"
+    p.write_text(NOT_AN_ALGEBROID)
+    code, out = run_command([command, str(p)])
+    assert code == 1
+    assert out.split("\n") == [
+        "algebroid.skew_symmetry    pass",
+        "algebroid.jacobi_identity  fail  residual: (1,2,3): -1 e1",
+        "algebroid.anchor_morphism  pass",
+        "cocycle.cocycle_condition  fail  residual: (1,2): 1",
+        "summary: 2 pass, 2 fail",
+    ]

@@ -7,13 +7,14 @@ import pytest
 
 from linjacobi import (AlgebroidError, AlgebroidPatch, AlgebroidWithCocycle,
                        C1Violation, C2Violation, Chart, Cocycle, ExpPoly,
-                       JacobiStructure, Multivector, forward_report,
+                       JacobiStructure, Multivector, check_C1, check_C2,
+                       forward_report,
                        hat_algebroid, jacobi_bracket, linear_poisson_dual,
                        liouville, poissonization, psi_forward, psi_inverse,
                        roundtrip_check, sn_bracket, verify_algebroid,
                        verify_jacobi, vertical_lift)
 
-from conftest import base_chart
+from conftest import base_chart, count_calls
 
 POINT = Chart(())
 
@@ -30,6 +31,20 @@ def test_pair_validates_inputs():
     A = AlgebroidPatch(POINT, 2, {(1, 2, 2): 1})
     with pytest.raises(AlgebroidError):
         AlgebroidWithCocycle(A, Cocycle.from_scalars(POINT, (0, 1)))
+
+
+def test_pair_keeps_its_reports():
+    pair = aff1_pair()
+    assert [c.name for c in pair.algebroid_report.checks] == [
+        "skew_symmetry", "jacobi_identity", "anchor_morphism"]
+    assert [c.name for c in pair.cocycle_report.checks] == ["cocycle_condition"]
+    # a failing algebroid still gets its cocycle checked
+    bad = AlgebroidPatch(POINT, 3, {(1, 2, 1): 1, (2, 3, 2): 1})
+    with pytest.raises(AlgebroidError) as exc:
+        AlgebroidWithCocycle(bad, Cocycle.from_scalars(POINT, (1, 0, 0)))
+    assert str(exc.value).startswith("not a Lie algebroid:\n")
+    assert not exc.value.algebroid_report.passed
+    assert exc.value.cocycle_report.check("cocycle_condition").residual == "(1,2): 1"
 
 
 def test_linear_poisson_dual_components():
@@ -108,6 +123,23 @@ def test_inverse_rejections_carry_residuals():
     with pytest.raises(C2Violation) as exc:
         psi_inverse(remark)
     assert exc.value.residual == "-1*x"
+
+
+def test_inverse_of_non_algebroid_bracket():
+    """C1 and C2 hold for any linear bivector; psi_inverse still rejects
+    a bracket that fails the Jacobi identity."""
+    bad = AlgebroidPatch(POINT, 3, {(1, 2, 1): 1, (2, 3, 2): 1})
+    J = JacobiStructure.poisson(linear_poisson_dual(bad))
+    assert check_C1(J).passed and check_C2(J).passed
+    with pytest.raises(AlgebroidError) as exc:
+        psi_inverse(J)
+    assert not exc.value.algebroid_report.passed
+
+
+def test_roundtrip_inverts_once(monkeypatch):
+    calls = count_calls(monkeypatch, psi_inverse)
+    assert roundtrip_check(aff1_pair(2)).passed
+    assert len(calls) == 1
 
 
 def test_roundtrip_report_shape():

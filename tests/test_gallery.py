@@ -4,9 +4,10 @@ import pytest
 
 from linjacobi import (CATALOG, Chart, ExpPoly, GalleryError, Multivector,
                        build_case, complete_vertical_lift,
-                       cotangent_algebroid, linear_poisson_dual, psi_forward)
+                       cotangent_algebroid, linear_poisson_dual, psi_forward,
+                       run_case, verify_algebroid)
 
-from conftest import base_chart
+from conftest import base_chart, count_calls
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -19,6 +20,14 @@ def test_catalog_checklists(name):
         assert rep.check("expected_C2_verdict").verdict == "pass"
     else:
         assert rep.passed, rep.to_text()
+
+
+def test_pair_case_verifies_algebroid_twice(monkeypatch):
+    """Once when the case builds its pair, once when roundtrip_check's
+    psi_inverse builds the recovered pair."""
+    calls = count_calls(monkeypatch, verify_algebroid)
+    assert run_case(build_case("so3")).passed
+    assert len(calls) == 2
 
 
 def test_unknown_names_rejected():
