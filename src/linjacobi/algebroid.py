@@ -4,7 +4,6 @@ Poisson bivector, the algebroid T*M x R of a Jacobi pair)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .chart import Chart

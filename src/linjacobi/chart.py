@@ -21,19 +21,37 @@ class ChartError(ValueError):
 
 @dataclass(frozen=True)
 class Chart:
+    """Equality and hash are those of `coords`; every query below is
+    computed once, in __init__, and only read afterwards."""
+
     coords: Tuple[Tuple[str, str], ...]
 
     def __init__(self, coords: Iterable[Tuple[str, str]]):
         coords = tuple((str(n), str(r)) for n, r in coords)
-        names = [n for n, _ in coords]
-        if len(set(names)) != len(names):
-            raise ChartError(f"duplicate coordinate names in {names}")
+        names = tuple(n for n, _ in coords)
+        index = {n: i for i, n in enumerate(names)}
+        if len(index) != len(names):
+            raise ChartError(f"duplicate coordinate names in {list(names)}")
         for n, r in coords:
             if r not in ROLES:
                 raise ChartError(f"unknown role {r!r} for coordinate {n!r}")
-        if sum(1 for _, r in coords if r == "time") > 1:
+        times = [i for i, (_, r) in enumerate(coords) if r == "time"]
+        if len(times) > 1:
             raise ChartError("at most one time coordinate is allowed")
-        object.__setattr__(self, "coords", coords)
+        fiber = tuple(i for i, (_, r) in enumerate(coords) if r == "fiber")
+        # frozen: fill the instance dict directly
+        self.__dict__.update(coords=coords, _names=names, _index=index,
+                             _roles=tuple(r for _, r in coords),
+                             _fiber_indices=fiber,
+                             _fiber_names=tuple(names[i] for i in fiber),
+                             _time_index=times[0] if times else None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Chart):
+            return NotImplemented
+        return self.coords == other.coords
 
     # -- basic queries -------------------------------------------------
 
@@ -43,39 +61,36 @@ class Chart:
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return tuple(n for n, _ in self.coords)
+        return self._names
 
     @property
     def roles(self) -> Tuple[str, ...]:
-        return tuple(r for _, r in self.coords)
+        return self._roles
 
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.coords):
-            if n == name:
-                return i
-        raise ChartError(f"unknown coordinate {name!r} in chart {self.names}")
+        i = self._index.get(name)
+        if i is None:
+            raise ChartError(f"unknown coordinate {name!r} in chart {self.names}")
+        return i
 
     def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.coords)
+        return name in self._index
 
     @property
     def fiber_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, (_, r) in enumerate(self.coords) if r == "fiber")
+        return self._fiber_indices
 
     @property
     def fiber_names(self) -> Tuple[str, ...]:
-        return tuple(n for n, r in self.coords if r == "fiber")
+        return self._fiber_names
 
     @property
     def time_index(self) -> Optional[int]:
-        for i, (_, r) in enumerate(self.coords):
-            if r == "time":
-                return i
-        return None
+        return self._time_index
 
     @property
     def has_time(self) -> bool:
-        return self.time_index is not None
+        return self._time_index is not None
 
     # -- derived charts ------------------------------------------------
 

@@ -8,9 +8,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chart import Chart
 from .ring import ExpPoly
-from .exterior import DiffForm, Multivector, exterior_d, pairing, sn_bracket
-from .algebroid import (AlgebroidError, AlgebroidPatch, Cocycle, Section,
-                        anchor_apply, bracket_sections, verify_algebroid,
+# sn_bracket is not called here; the binding stays for outside readers of
+# linjacobi.correspondence.sn_bracket (bench/tests checks the tracer
+# rebinds it)
+from .exterior import Multivector, sn_bracket
+from .algebroid import (AlgebroidError, AlgebroidPatch, Cocycle, verify_algebroid,
                         verify_cocycle)
 from .jacobi import JacobiStructure, check_C1, check_C2, jacobi_bracket, verify_jacobi
 from .report import Report
@@ -239,9 +241,7 @@ def psi_inverse(J: JacobiStructure,
     the recovered pair verifies it, and raises AlgebroidError when it is
     not an algebroid with a cocycle.
     """
-    dual = J.chart
-    fib = dual.fiber_indices
-    if not fib:
+    if not J.chart.fiber_indices:
         raise AlgebroidError("chart has no fiber coordinates")
     rep1 = check_C1(J)
     if not rep1.passed:
@@ -251,7 +251,15 @@ def psi_inverse(J: JacobiStructure,
     if not rep2.passed:
         failed = [c for c in rep2.checks if c.verdict != "pass"]
         raise C2Violation("C2 violation", failed[0].residual)
+    return _extract_pair(J, basis_names)
 
+
+def _extract_pair(J: JacobiStructure,
+                  basis_names: Optional[Sequence[str]] = None) -> AlgebroidWithCocycle:
+    """The extraction half of psi_inverse, for a J that has fiber
+    coordinates and already passed check_C1 and check_C2."""
+    dual = J.chart
+    fib = dual.fiber_indices
     base = dual.restrict(("base", "time"))
     n = len(fib)
     one = ExpPoly.const(dual, 1)
@@ -344,11 +352,15 @@ def _pair_diff(a: AlgebroidWithCocycle, b: AlgebroidWithCocycle) -> List[str]:
 
 def poissonization(J: JacobiStructure, time_name: str = "t") -> Multivector:
     """The Poisson bivector  e^{-t} (lambda + d/dt ^ E)  on chart x R."""
+    if not verify_jacobi(J).passed:
+        raise AlgebroidError("input is not a Jacobi structure")
+    return _poissonize(J, time_name)
+
+
+def _poissonize(J: JacobiStructure, time_name: str) -> Multivector:
+    """poissonization of a J already verified to be Jacobi."""
     if J.chart.has_time:
         raise AlgebroidError("chart already has a time coordinate")
-    rep = verify_jacobi(J)
-    if not rep.passed:
-        raise AlgebroidError("input is not a Jacobi structure")
     ext = J.chart.extend(time_name, "time")
     lam = J.lam.transfer(ext)
     E = J.e_field.transfer(ext)

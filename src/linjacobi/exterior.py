@@ -16,7 +16,6 @@ single contractions left to right, so that <dx^I, d/dx_I> = +1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .chart import Chart

@@ -18,10 +18,9 @@ from .algebroid import (AlgebroidError, AlgebroidPatch, Cocycle,
                         cotangent_algebroid, jacobi_algebroid)
 from .jacobi import (JacobiStructure, check_C1, check_C2, contact_to_jacobi,
                      verify_jacobi)
-from .correspondence import (AlgebroidWithCocycle, forward_report,
-                             hat_algebroid, linear_poisson_dual, liouville,
-                             poissonization, psi_forward, psi_inverse,
-                             roundtrip_check, vertical_lift)
+from .correspondence import (AlgebroidWithCocycle, _poissonize, hat_algebroid,
+                             linear_poisson_dual, liouville, psi_forward,
+                             psi_inverse, roundtrip_check)
 from .report import Report
 
 
@@ -304,7 +303,8 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
     rep.extend(pair.algebroid_report, "algebroid.")
     rep.extend(pair.cocycle_report, "cocycle.")
     J = psi_forward(pair, case.dual)
-    rep.extend(verify_jacobi(J), "jacobi.")
+    jacobi_rep = verify_jacobi(J)
+    rep.extend(jacobi_rep, "jacobi.")
 
     with rep.timed("expected_lambda") as slot:
         got = J.lam.render()
@@ -320,7 +320,9 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
     rep.extend(roundtrip_check(pair), "roundtrip.")
 
     time_name = "tau" if J.chart.has("t") else "t"
-    P = poissonization(J, time_name)
+    if not jacobi_rep.passed:
+        raise AlgebroidError("input is not a Jacobi structure")
+    P = _poissonize(J, time_name)
     with rep.timed("poissonization_poisson") as slot:
         res = sn_bracket(P, P)
         slot["ok"] = res.is_zero
@@ -375,10 +377,10 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
 
     if case.name == "poissonization_aff1":
         with rep.timed("hat_recovered") as slot:
+            # this case's chart has no t, so P was built with time_name "t"
             hat = hat_algebroid(pair)
-            Phat = poissonization(J)
             back = psi_inverse(
-                JacobiStructure.poisson(Phat.transfer(hat.dual_chart(
+                JacobiStructure.poisson(P.transfer(hat.dual_chart(
                     list(J.chart.fiber_names)))))
             diffs = []
             if not back.algebroid.same_structure(hat):

@@ -4,7 +4,7 @@ construction."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from .chart import Chart
 from .ring import ChartMismatchError, ExpPoly

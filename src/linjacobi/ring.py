@@ -66,6 +66,17 @@ class ExpPoly:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, chart: Chart, terms: Dict[Key, Fraction]) -> "ExpPoly":
+        """Wrap terms that are canonical by construction, unchecked: no
+        zero coefficient, exponent vectors of length chart.dim with no
+        negative entry, and k == 0 unless the chart has a time coordinate.
+        The dict is owned by the result from here on."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "chart", chart)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
 
@@ -73,7 +84,7 @@ class ExpPoly:
 
     @classmethod
     def zero(cls, chart: Chart) -> "ExpPoly":
-        return cls(chart)
+        return cls._make(chart, {})
 
     @classmethod
     def const(cls, chart: Chart, value: Scalar) -> "ExpPoly":
@@ -116,7 +127,7 @@ class ExpPoly:
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "ExpPoly") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError(
                 f"operands on different charts: {self.chart} vs {other.chart}")
 
@@ -137,12 +148,12 @@ class ExpPoly:
                     del terms[key]
                 else:
                     terms[key] = c0
-        return ExpPoly(self.chart, terms)
+        return ExpPoly._make(self.chart, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly(self.chart, {key: -c for key, c in self.terms.items()})
+        return ExpPoly._make(self.chart, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -159,7 +170,7 @@ class ExpPoly:
             c = _as_rat(other)
             if c == 0:
                 return ExpPoly.zero(self.chart)
-            return ExpPoly(self.chart, {key: v * c for key, v in self.terms.items()})
+            return ExpPoly._make(self.chart, {key: v * c for key, v in self.terms.items()})
         if not isinstance(other, ExpPoly):
             return NotImplemented
         self._check(other)
@@ -177,7 +188,7 @@ class ExpPoly:
                         del terms[key]
                     else:
                         terms[key] = c0
-        return ExpPoly(self.chart, terms)
+        return ExpPoly._make(self.chart, terms)
 
     __rmul__ = __mul__
 
@@ -219,7 +230,7 @@ class ExpPoly:
                 acc((down, k), c * a)
             if is_time and k != 0:
                 acc((exps, k), c * k)
-        return ExpPoly(self.chart, terms)
+        return ExpPoly._make(self.chart, terms)
 
     def fiber_degree(self) -> Optional[int]:
         """Max total degree in fiber coordinates; None for the zero function."""

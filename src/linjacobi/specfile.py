@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .chart import Chart, ChartError
 from .ring import ExpPoly
@@ -396,17 +396,15 @@ class _Parser:
                         t.line, t.col)
                 raise SpecError(f"undeclared coordinate {t.text!r}", t.line, t.col)
             self.advance()
-            p = ExpPoly.var(chart, t.text)
+            e = 1
             if self.at_sym("^"):
                 self.advance()
                 e = self.expect_int("exponent")
                 if e < 0:
                     raise SpecError("negative exponent", t.line, t.col)
-                out = ExpPoly.const(chart, 1)
-                for _ in range(e):
-                    out = out * p
-                return out
-            return p
+            i = chart.index(t.text)
+            exps = tuple(e if j == i else 0 for j in range(chart.dim))
+            return ExpPoly(chart, {(exps, 0): 1})
         raise self.error(f"expected an expression, found {t.text or 'end of input'!r}")
 
     def _coefficient(self, chart: Chart):

@@ -3,10 +3,14 @@
 import json
 import random
 import string
+import time
 
 import pytest
 
+from linjacobi import cli
 from linjacobi.cli import main, run_command
+
+from conftest import count_calls
 
 AFF1 = """\
 algebroid
@@ -215,3 +219,37 @@ def test_unverified_pair_prints_both_reports(tmp_path, command):
         "cocycle.cocycle_condition  fail  residual: (1,2): 1",
         "summary: 2 pass, 2 fail",
     ]
+
+
+def test_huge_exponent_is_capped_quickly(tmp_path):
+    p = tmp_path / "huge.spec"
+    p.write_text("patch\n  x base\n  mu fiber\nend\n\n"
+                 "jacobi\n  lambda = x^3000000*d/dx^d/dmu\nend\n")
+    start = time.perf_counter()
+    code, out = run_command(["verify-jacobi", str(p)])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "error: expression degree 3000000 exceeds cap 6 "
+                              "(use --no-caps to override)")
+
+
+def test_parser_is_built_once(monkeypatch, aff1_spec):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    calls = count_calls(monkeypatch, cli._build_parser)
+    argv = ["verify-algebroid", aff1_spec, "--json"]
+    before = run_command(argv)
+    assert before[0] == 0
+    outs = [run_command(argv) for _ in range(24)]
+    assert run_command(["nope"]) == (2, "")
+    outs += [run_command(argv) for _ in range(24)]
+    assert outs == [before] * 48
+    assert len(calls) == 1
+
+
+def test_invert_checks_C1_and_C2_once(tmp_path, aff1_spec, monkeypatch):
+    _, out = run_command(["forward", aff1_spec])
+    jspec = tmp_path / "forward.spec"
+    jspec.write_text(out.split("\n\n", 1)[1] + "\n")
+    c1, c2 = count_calls(monkeypatch, cli.check_C1), count_calls(monkeypatch, cli.check_C2)
+    code, out = run_command(["invert", str(jspec)])
+    assert code == 0, out
+    assert len(c1) == 1 and len(c2) == 1

@@ -5,7 +5,7 @@ import pytest
 from linjacobi import (CATALOG, Chart, ExpPoly, GalleryError, Multivector,
                        build_case, complete_vertical_lift,
                        cotangent_algebroid, linear_poisson_dual, psi_forward,
-                       run_case, verify_algebroid)
+                       run_case, verify_algebroid, verify_jacobi)
 
 from conftest import base_chart, count_calls
 
@@ -28,6 +28,14 @@ def test_pair_case_verifies_algebroid_twice(monkeypatch):
     calls = count_calls(monkeypatch, verify_algebroid)
     assert run_case(build_case("so3")).passed
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", ["so3", "poissonization_aff1"])
+def test_pair_case_verifies_its_jacobi_structure_once(monkeypatch, name):
+    case = build_case(name)
+    calls = count_calls(monkeypatch, verify_jacobi)
+    assert run_case(case).passed
+    assert len(calls) == 1
 
 
 def test_unknown_names_rejected():

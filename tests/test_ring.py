@@ -1,11 +1,14 @@
 """Coefficient ring: exact rationals, canonical forms, the e^t extension."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from linjacobi import Chart, ChartMismatchError, EvalError, ExpPoly
+
+from conftest import random_poly
 
 XY = Chart((("x", "base"), ("y", "base")))
 XMU = Chart((("x", "base"), ("mu", "fiber")))
@@ -131,3 +134,33 @@ def test_constant_helpers():
     assert ExpPoly.var(XY, "x").constant_value() is None
     assert ExpPoly.s_power(XT, 2).is_nonvanishing_constant()
     assert not ExpPoly.var(XT, "x").is_nonvanishing_constant()
+
+
+def _assert_canonical(r):
+    assert r == ExpPoly(r.chart, r.terms)
+    dim, has_time = r.chart.dim, r.chart.has_time
+    for (exps, k), c in r.terms.items():
+        assert c != 0 and isinstance(c, Fraction)
+        assert isinstance(exps, tuple) and len(exps) == dim
+        assert all(isinstance(e, int) and e >= 0 for e in exps)
+        assert isinstance(k, int) and (k == 0 or has_time)
+
+
+def test_arithmetic_results_are_canonical():
+    """Sums, differences, negations, products and partial derivatives
+    skip the validating constructor; each result must still be what
+    that constructor would make of its terms."""
+    rng = random.Random(20240)
+    for chart in (XY, XMU, XT):
+        for _ in range(60):
+            p, q = random_poly(rng, chart), random_poly(rng, chart)
+            if chart.has_time:
+                p = p * ExpPoly.s_power(chart, rng.randint(-2, 2))
+                q = q * ExpPoly.s_power(chart, rng.randint(-2, 2))
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            results = [p + q, p - q, p - p, -p, p * q, p * c, c * p, 0 * p,
+                       3 - p, p + 1]
+            results += [p.partial(n) for n in chart.names]
+            for r in results:
+                _assert_canonical(r)
+            _assert_canonical(ExpPoly.zero(chart))
