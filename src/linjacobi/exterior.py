@@ -445,10 +445,10 @@ def sharp(L: Multivector, a: DiffForm) -> Multivector:
     return Multivector(chart, 1, comps)
 
 
-def _pfaffian(mat) -> ExpPoly:
-    """Pfaffian of an antisymmetric matrix of ExpPoly, by recursive expansion."""
+def _pfaffian(mat, chart: Chart) -> ExpPoly:
+    """Pfaffian of an antisymmetric matrix of ExpPoly on `chart`, by
+    recursive expansion along the first row: O((n-1)!!) products."""
     n = len(mat)
-    chart = mat[0][0].chart
     if n == 0:
         return ExpPoly.const(chart, 1)
     if n % 2 == 1:
@@ -463,7 +463,7 @@ def _pfaffian(mat) -> ExpPoly:
             continue
         keep = [i for i in rest0 if i != k]
         sub = [[mat[r][c] for c in keep] for r in keep]
-        term = a * _pfaffian(sub)
+        term = a * _pfaffian(sub, chart)
         out = out + term if pos % 2 == 0 else out - term
     return out
 
@@ -478,15 +478,12 @@ def check_nondegenerate(L: Multivector) -> str:
     if L.grade != 2:
         raise GradeError("nondegeneracy check needs a bivector")
     n = L.chart.dim
-    if n % 2 == 1:
-        # an antisymmetric matrix of odd size is always singular
-        return "degenerate"
     zero = ExpPoly.zero(L.chart)
     mat = [[zero for _ in range(n)] for _ in range(n)]
     for (i, j), p in L.comps.items():
         mat[i][j] = p
         mat[j][i] = -p
-    pf = _pfaffian(mat)
+    pf = _pfaffian(mat, L.chart)
     if pf.is_zero:
         return "degenerate"
     if pf.is_nonvanishing_constant():

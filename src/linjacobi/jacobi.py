@@ -4,11 +4,11 @@ construction."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from .chart import Chart
 from .ring import ChartMismatchError, ExpPoly
-from .exterior import (DiffForm, GradeError, Multivector, exterior_d, interior,
+from .exterior import (DiffForm, GradeError, Multivector, _pfaffian, exterior_d,
                        pairing, sn_bracket)
 from .report import Report
 
@@ -160,49 +160,16 @@ def check_C2(J: JacobiStructure) -> Report:
 # Contact forms
 # ---------------------------------------------------------------------------
 
-def _solve_unit_system(mat: List[List[ExpPoly]], rhs: List[ExpPoly]) -> List[ExpPoly]:
-    """Solve v M = rhs exactly by Cramer's rule; the determinant must be a
-    unit of the coefficient ring (c * s^k, c != 0)."""
-    n = len(mat)
-    chart = rhs[0].chart
-
-    def det(rows: List[int], cols: List[int], repl: int) -> ExpPoly:
-        """Laplace expansion of M with row `repl` replaced by rhs (-1: none)."""
-        if not rows:
-            return ExpPoly.const(chart, 1)
-        i = rows[0]
-        out = ExpPoly.zero(chart)
-        for pos, j in enumerate(cols):
-            a = rhs[j] if i == repl else mat[i][j]
-            if a.is_zero:
-                continue
-            sub = det(rows[1:], [c for c in cols if c != j], repl)
-            term = a * sub
-            out = out + term if pos % 2 == 0 else out - term
-        return out
-
-    idx = list(range(n))
-    full = det(idx, idx, -1)
-    cv = None
-    if len(full.terms) == 1:
-        (exps, k), c = next(iter(full.terms.items()))
-        if not any(exps):
-            cv = (c, k)
-    if cv is None:
-        raise ContactError(
-            f"flat map not exactly invertible over the ring (det = {full.render()})")
-    c, k = cv
-    inv_unit = ExpPoly(chart, {((0,) * chart.dim, -k): 1 / c})
-    # v_j = det(M with row j replaced by rhs) / det(M)
-    return [det(idx, idx, j) * inv_unit for j in range(n)]
-
-
 def contact_to_jacobi(eta: DiffForm) -> JacobiStructure:
     """Jacobi structure of a contact 1-form on an odd-dimensional chart.
 
     E is the Reeb field (i_E d eta = 0, eta(E) = 1) and
     lambda(a, b) = d eta(flat^-1 a, flat^-1 b) for the isomorphism
-    flat(X) = i_X d eta + eta(X) eta.
+    flat(X) = i_X d eta + eta(X) eta.  Both are read off the
+    symplectization d(e^t eta) at t = 0, whose skew matrix, with index 0
+    for t, is B = [[0, eta], [-eta, d eta]]: lambda + d/dt ^ E = -B^-1.  For
+    a < b, (B^-1)[a][b] = (-1)^(a+b) Pf(B without rows/cols a, b) / Pf(B),
+    and Pf(B)^2 = det(d eta + eta (x) eta) is the determinant of flat.
     """
     if eta.grade != 1:
         raise GradeError("contact form must be a 1-form")
@@ -210,35 +177,25 @@ def contact_to_jacobi(eta: DiffForm) -> JacobiStructure:
     n = chart.dim
     if n % 2 == 0:
         raise ContactError("contact chart must be odd-dimensional")
-    deta = exterior_d(eta)
     zero = ExpPoly.zero(chart)
-    one = ExpPoly.const(chart, 1)
-    # flat(X)_j = sum_i X^i (deta_ij + eta_i eta_j)
-    dmat = [[zero for _ in range(n)] for _ in range(n)]
-    for (i, j), p in deta.comps.items():
-        dmat[i][j] = p
-        dmat[j][i] = -p
-    etac = [eta.comps.get((i,), zero) for i in range(n)]
-    mat = [[dmat[i][j] + etac[i] * etac[j] for j in range(n)] for i in range(n)]
+    B = [[zero] * (n + 1) for _ in range(n + 1)]
+    for (i,), p in eta.comps.items():
+        B[0][i + 1], B[i + 1][0] = p, -p
+    for (i, j), p in exterior_d(eta).comps.items():
+        B[i + 1][j + 1], B[j + 1][i + 1] = p, -p
+    pf = _pfaffian(B, chart)
+    if not pf.is_nonvanishing_constant():
+        raise ContactError("flat map not exactly invertible over the ring "
+                           f"(det = {(pf * pf).render()})")
+    ((_, k), c), = pf.terms.items()
+    inv_pf = ExpPoly(chart, {((0,) * n, -k): 1 / c})
 
-    # Reeb field: flat(E) = eta
-    e_comps = _solve_unit_system(mat, etac)
-    E = Multivector(chart, 1, {(i,): p for i, p in enumerate(e_comps)})
+    def minus_inverse(a: int, b: int) -> ExpPoly:
+        keep = [r for r in range(n + 1) if r != a and r != b]
+        cof = _pfaffian([[B[r][s] for s in keep] for r in keep], chart) * inv_pf
+        return cof if (a + b) % 2 else -cof
 
-    # lambda^{ij} = deta(flat^-1 dx^i, flat^-1 dx^j) for i < j
-    inv_rows = []
-    for i in range(n):
-        unit_rhs = [one if j == i else zero for j in range(n)]
-        inv_rows.append(_solve_unit_system(mat, unit_rhs))
-    lam_comps: Dict[Tuple[int, ...], ExpPoly] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vi = Multivector(chart, 1, {(a,): p for a, p in enumerate(inv_rows[i])})
-            vj = Multivector(chart, 1, {(a,): p for a, p in enumerate(inv_rows[j])})
-            val = interior(vi.wedge(vj), deta)
-            if isinstance(val, DiffForm):
-                val = val.as_function()
-            if not val.is_zero:
-                lam_comps[(i, j)] = val
-    lam = Multivector(chart, 2, lam_comps)
+    E = Multivector(chart, 1, {(j,): minus_inverse(0, j + 1) for j in range(n)})
+    lam = Multivector(chart, 2, {(i, j): minus_inverse(i + 1, j + 1)
+                                 for i in range(n) for j in range(i + 1, n)})
     return JacobiStructure(chart, lam, E)

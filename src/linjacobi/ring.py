@@ -263,7 +263,6 @@ class ExpPoly:
         assignment with a nonzero s-exponent is refused as transcendental.
         """
         chart = self.chart
-        vals = []
         needed = set()
         for (exps, k), _ in self.terms.items():
             for i, e in enumerate(exps):

@@ -2,7 +2,10 @@
 and Jacobi pairs, with a recursive-descent expression parser that reports
 line/column positions on every failure.
 
-Layout (sections may appear in any order, each closed by `end`):
+Layout (sections may appear in any order, each closed by `end`, except
+that the algebroid's `rank` must precede every c, rho and phi entry; each
+index lies in 1..rank, and no entry is given twice, c[j,i] counting as
+c[i,j]):
 
     patch
       x1 base
@@ -148,6 +151,11 @@ def _tokenize(text: str) -> List[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# entries indexed by 1..rank, so the rank must be known before them
+_RANKED = {"c": "structure functions", "rho": "anchor components",
+           "phi": "cocycle components"}
+
+
 class _Parser:
     def __init__(self, toks: List[Token]):
         self.toks = toks
@@ -204,6 +212,19 @@ class _Parser:
             raise SpecError(f"expected {what}, found rational {t.text!r}", t.line, t.col)
         v = int(t.text)
         return -v if neg else v
+
+    def expect_index(self, rank: int, what: str) -> int:
+        """An integer in 1..rank; out of range is an error at its first token."""
+        t = self.cur
+        v = self.expect_int(what)
+        if not 1 <= v <= rank:
+            raise SpecError(f"{what} {v} out of range", t.line, t.col)
+        return v
+
+    def need_rank(self, spec: SpecFile, t: Token) -> int:
+        if spec.rank is None:
+            raise SpecError(f"rank must precede {_RANKED[t.text]}", t.line, t.col)
+        return spec.rank
 
     # -- sections ------------------------------------------------------
 
@@ -263,8 +284,17 @@ class _Parser:
 
     def _parse_algebroid(self, spec: SpecFile) -> None:
         base = spec.base_chart()
+        seen = set()
+
+        def once(key, name: str, t: Token) -> None:
+            if key in seen:
+                raise SpecError(f"second entry for {name}", t.line, t.col)
+            seen.add(key)
+
         for _ in self._section_lines():
             t = self.expect("ident", "algebroid entry")
+            if t.text in ("rank", "basis"):
+                once(t.text, t.text, t)
             if t.text == "rank":
                 v = self.expect_int("rank")
                 if v < 1:
@@ -278,16 +308,15 @@ class _Parser:
                     raise self.error("expected basis names")
                 spec.basis_names = tuple(names)
             elif t.text == "c":
-                if spec.rank is None:
-                    raise SpecError("rank must precede structure functions",
-                                    t.line, t.col)
+                rank = self.need_rank(spec, t)
                 self.expect_sym("[")
-                i = self.expect_int("basis index")
+                i = self.expect_index(rank, "basis index")
                 self.expect_sym(",")
-                j = self.expect_int("basis index")
+                j = self.expect_index(rank, "basis index")
+                once(("c", min(i, j), max(i, j)), f"c[{i},{j}] or c[{j},{i}]", t)
                 self.expect_sym("]")
                 self.expect_sym("=")
-                for k, p in self._basis_sum(base, spec.rank, t):
+                for k, p in self._basis_sum(base, rank, t):
                     if i == j and not p.is_zero:
                         raise SpecError("diagonal structure function must be zero",
                                         t.line, t.col)
@@ -295,8 +324,10 @@ class _Parser:
                     spec.structure[key] = spec.structure.get(
                         key, ExpPoly.zero(base)) + p
             elif t.text == "rho":
+                rank = self.need_rank(spec, t)
                 self.expect_sym("[")
-                i = self.expect_int("basis index")
+                i = self.expect_index(rank, "basis index")
+                once(("rho", i), f"rho[{i}]", t)
                 self.expect_sym("]")
                 self.expect_sym("=")
                 for l, p in self._vector_sum(base):
@@ -315,18 +346,18 @@ class _Parser:
             t = self.expect("ident", "cocycle entry")
             if t.text != "phi":
                 raise SpecError(f"unknown cocycle entry {t.text!r}", t.line, t.col)
+            rank = self.need_rank(spec, t)
             self.expect_sym("[")
-            i = self.expect_int("component index")
+            i = self.expect_index(rank, "component index")
+            if i in comps:
+                raise SpecError(f"second entry for phi[{i}]", t.line, t.col)
             self.expect_sym("]")
             self.expect_sym("=")
             comps[i] = self.parse_expr(base)
             self.end_line()
         if comps:
-            n = max(comps)
-            if min(comps) < 1:
-                raise self.error("cocycle component indices start at 1")
             spec.cocycle = tuple(comps.get(i, ExpPoly.zero(base))
-                                 for i in range(1, n + 1))
+                                 for i in range(1, max(comps) + 1))
 
     def _parse_jacobi(self, spec: SpecFile) -> None:
         chart = spec.chart

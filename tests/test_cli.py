@@ -232,6 +232,25 @@ def test_huge_exponent_is_capped_quickly(tmp_path):
                               "(use --no-caps to override)")
 
 
+def test_huge_cocycle_index_fails_at_its_line_quickly(tmp_path):
+    p = tmp_path / "huge.spec"
+    p.write_text("algebroid\n  rank 2\nend\ncocycle\n  phi[3000000] = 1\nend\n")
+    start = time.perf_counter()
+    code, out = run_command(["verify-cocycle", str(p)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "error: 5:7: component index 3000000 out of range")
+
+
+def test_structure_and_anchor_index_errors_carry_position(tmp_path):
+    p = tmp_path / "bad.spec"
+    p.write_text("algebroid\n  rank 2\n  c[1,5] = (1)*e_2\nend\n")
+    assert run_command(["verify-algebroid", str(p)]) == (
+        2, "error: 3:7: basis index 5 out of range")
+    p.write_text("patch\n  x base\nend\nalgebroid\n  rank 2\n  rho[7] = (1)*d/dx\nend\n")
+    assert run_command(["verify-algebroid", str(p)]) == (
+        2, "error: 6:7: basis index 7 out of range")
+
+
 def test_parser_is_built_once(monkeypatch, aff1_spec):
     monkeypatch.setattr(cli, "_PARSER", None)
     calls = count_calls(monkeypatch, cli._build_parser)

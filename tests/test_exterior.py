@@ -227,6 +227,12 @@ def test_odd_dimension_always_degenerate():
     assert check_nondegenerate(L) == "degenerate"
 
 
+def test_empty_bivector_is_nondegenerate():
+    # the Pfaffian of the 0x0 matrix is 1
+    L = Multivector.zero(Chart(()), 2)
+    assert check_nondegenerate(L) == "nondegenerate_constant"
+
+
 def test_grade_errors():
     with pytest.raises(GradeError):
         Multivector(R3, 2, {(0,): ExpPoly.const(R3, 1)})

@@ -2,12 +2,14 @@
 conditions, and contact forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from linjacobi import (Chart, ContactError, DiffForm, ExpPoly, JacobiStructure,
-                       Multivector, check_C1, check_C2, contact_to_jacobi,
-                       jacobi_bracket, verify_jacobi)
+                       Multivector, build_case, check_C1, check_C2,
+                       contact_to_jacobi, exterior_d, interior, jacobi_bracket,
+                       pairing, poissonization, sharp, verify_jacobi)
 
 from conftest import base_chart, random_poly
 
@@ -114,3 +116,73 @@ def test_degenerate_form_rejected():
     eta = DiffForm(chart, 1, {(0,): ExpPoly.const(chart, 1)})
     with pytest.raises(ContactError):
         contact_to_jacobi(eta)
+
+
+def test_one_dimensional_contact_form():
+    chart = base_chart(1)
+    J = contact_to_jacobi(DiffForm(chart, 1, {(0,): ExpPoly.const(chart, 2)}))
+    assert J.e_field == Multivector(chart, 1, {(0,): ExpPoly.const(chart, Fraction(1, 2))})
+    assert J.lam.is_zero
+
+
+def test_contact_error_texts():
+    chart = Chart((("x", "base"), ("y", "base"), ("z", "base")))
+    x, y = ExpPoly.var(chart, "x"), ExpPoly.var(chart, "y")
+    with pytest.raises(ContactError) as exc:
+        contact_to_jacobi(DiffForm(chart, 1, {(0,): ExpPoly.const(chart, 1)}))
+    assert str(exc.value) == "flat map not exactly invertible over the ring (det = 0)"
+    with pytest.raises(ContactError) as exc:
+        contact_to_jacobi(DiffForm(chart, 1, {(0,): y, (2,): 1 + x}))
+    assert str(exc.value) == ("flat map not exactly invertible over the ring "
+                              "(det = 1*x^2 + 2*x + 1)")
+
+
+def sheared_standard_form(seed: int) -> DiffForm:
+    """F^*(dz - y1 dx1 - y2 dx2) on R^5 for a seeded triangular polynomial
+    map F(u)_i = u_i + p_i(u_{i+1}, ..., u_5), which has Jacobian 1."""
+    chart = Chart(tuple((n, "base") for n in ("x1", "x2", "y1", "y2", "z")))
+    rng = random.Random(seed)
+    u = [ExpPoly.var(chart, n) for n in chart.names]
+    F = []
+    for i in range(5):
+        p = ExpPoly.zero(chart)
+        for _ in range(2 if i < 4 else 0):
+            mono = ExpPoly.const(chart, rng.choice([-2, -1, 1, 2]))
+            for _ in range(rng.randint(1, 2)):
+                mono = mono * u[rng.randrange(i + 1, 5)]
+            p = p + mono
+        F.append(u[i] + p)
+    return exterior_d(F[4]) - F[2] * exterior_d(F[0]) - F[3] * exterior_d(F[1])
+
+
+CONTACT_FORMS = [lambda: build_case("contact_R(1)").contact,
+                 lambda: build_case("contact_R(2)").contact,
+                 lambda: sheared_standard_form(5)]
+
+
+@pytest.mark.parametrize("make_eta", CONTACT_FORMS, ids=["R3", "R5", "R5-sheared"])
+def test_contact_structure_inverts_the_symplectization(make_eta):
+    """e^{-tau}(lambda + d/dtau ^ E) sends i_{d/du} d(e^tau eta) to -d/du for
+    every coordinate u of chart x R."""
+    eta = make_eta()
+    P = poissonization(contact_to_jacobi(eta), "tau")
+    ext = P.chart
+    omega = exterior_d(eta.transfer(ext) * ExpPoly.s_power(ext, 1))
+    for name in ext.names:
+        d_u = Multivector.basis(ext, name)
+        assert sharp(P, interior(d_u, omega)) == -d_u, name
+
+
+@pytest.mark.parametrize("make_eta", CONTACT_FORMS, ids=["R3", "R5", "R5-sheared"])
+def test_contact_bivector_pairs_flats_to_d_eta(make_eta):
+    """lambda(flat d/da, flat d/db) = d eta(d/da, d/db) with
+    flat X = i_X d eta + eta(X) eta."""
+    eta = make_eta()
+    chart = eta.chart
+    lam = contact_to_jacobi(eta).lam
+    deta = exterior_d(eta)
+    basis = [Multivector.basis(chart, n) for n in chart.names]
+    flats = [interior(X, deta) + eta * interior(X, eta) for X in basis]
+    for a, Xa in enumerate(basis):
+        for b, Xb in enumerate(basis):
+            assert pairing(lam, flats[a], flats[b]) == interior(Xa.wedge(Xb), deta)

@@ -131,3 +131,54 @@ def test_bytes_input_and_bad_utf8():
     assert parse_spec(AFF1.encode()).rank == 2
     with pytest.raises(SpecError):
         parse_spec(b"\xff\xfe\x00")
+
+
+def _error_at(text):
+    with pytest.raises(SpecError) as exc:
+        parse_spec(text)
+    return exc.value.line, exc.value.col, exc.value.message
+
+
+def test_structure_index_out_of_range_has_position():
+    assert _error_at("algebroid\n  rank 2\n  c[1,5] = (1)*e_2\nend\n") == (
+        3, 7, "basis index 5 out of range")
+
+
+def test_anchor_index_out_of_range_has_position():
+    text = "patch\n  x base\nend\nalgebroid\n  rank 2\n  rho[7] = (1)*d/dx\nend\n"
+    assert _error_at(text) == (6, 7, "basis index 7 out of range")
+
+
+def test_cocycle_index_out_of_range_has_position():
+    text = "algebroid\n  rank 2\nend\ncocycle\n  phi[0] = 1\nend\n"
+    assert _error_at(text) == (5, 7, "component index 0 out of range")
+
+
+def test_rank_must_precede_anchor_and_cocycle():
+    text = "patch\n  x base\nend\nalgebroid\n  rho[1] = (1)*d/dx\n  rank 1\nend\n"
+    assert _error_at(text) == (5, 3, "rank must precede anchor components")
+    text = "cocycle\n  phi[1] = 1\nend\nalgebroid\n  rank 1\nend\n"
+    assert _error_at(text) == (2, 3, "rank must precede cocycle components")
+
+
+def test_opposite_structure_entries_do_not_cancel():
+    text = "algebroid\n  rank 2\n  c[1,2] = (1)*e_2\n  c[2,1] = (1)*e_2\nend\n"
+    assert _error_at(text) == (4, 3, "second entry for c[2,1] or c[1,2]")
+
+
+def test_repeated_structure_entry_is_not_summed():
+    text = "algebroid\n  rank 2\n  c[1,2] = (1)*e_2\n  c[1,2] = (1)*e_2\nend\n"
+    assert _error_at(text) == (4, 3, "second entry for c[1,2] or c[2,1]")
+
+
+def test_repeated_cocycle_entry_is_not_overwritten():
+    text = "algebroid\n  rank 1\nend\ncocycle\n  phi[1] = 1\n  phi[1] = 0\nend\n"
+    assert _error_at(text) == (6, 3, "second entry for phi[1]")
+
+
+def test_repeated_anchor_and_rank_entries_rejected():
+    text = ("patch\n  x base\nend\nalgebroid\n  rank 1\n"
+            "  rho[1] = (1)*d/dx\n  rho[1] = (2)*d/dx\nend\n")
+    assert _error_at(text) == (7, 3, "second entry for rho[1]")
+    assert _error_at("algebroid\n  rank 2\n  rank 3\nend\n") == (
+        3, 3, "second entry for rank")
