@@ -78,6 +78,17 @@ class GradedSkew:
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "comps", clean)
 
+    @classmethod
+    def _make(cls, chart: Chart, grade: int, comps: Dict[Index, ExpPoly]):
+        """Wrap components that are canonical by construction, unchecked:
+        strictly increasing index tuples of length `grade` within the chart,
+        values on `chart`.  Zero components are dropped."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "chart", chart)
+        object.__setattr__(t, "grade", grade)
+        object.__setattr__(t, "comps", {i: p for i, p in comps.items() if p.terms})
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -121,7 +132,7 @@ class GradedSkew:
     # -- linear structure ----------------------------------------------
 
     def _like(self, comps, grade=None):
-        return type(self)(self.chart, self.grade if grade is None else grade, comps)
+        return self._make(self.chart, self.grade if grade is None else grade, comps)
 
     def _check(self, other) -> None:
         if type(self) is not type(other):
@@ -140,7 +151,8 @@ class GradedSkew:
             raise GradeError("cannot add different grades")
         comps = dict(self.comps)
         for idx, p in other.comps.items():
-            comps[idx] = comps.get(idx, ExpPoly.zero(self.chart)) + p
+            p0 = comps.get(idx)
+            comps[idx] = p if p0 is None else p0 + p
         return self._like(comps)
 
     def __sub__(self, other):
@@ -182,7 +194,8 @@ class GradedSkew:
                 q = p1 * p2
                 if sign == -1:
                     q = -q
-                comps[sidx] = comps.get(sidx, ExpPoly.zero(self.chart)) + q
+                q0 = comps.get(sidx)
+                comps[sidx] = q if q0 is None else q0 + q
         return self._like(comps, grade)
 
     def __xor__(self, other):
@@ -258,23 +271,31 @@ class DiffForm(GradedSkew):
 # Schouten-Nijenhuis bracket
 # ---------------------------------------------------------------------------
 
-def _theta_partial(P: Multivector, l: int) -> Multivector:
-    """Left Grassmann derivative d/dtheta_l, lowering the grade by one."""
-    comps: Dict[Index, ExpPoly] = {}
-    for idx, p in P.comps.items():
-        if l not in idx:
-            continue
-        pos = idx.index(l)
-        rest = idx[:pos] + idx[pos + 1:]
-        q = p if pos % 2 == 0 else -p
-        comps[rest] = comps.get(rest, ExpPoly.zero(P.chart)) + q
-    return Multivector(P.chart, P.grade - 1, comps)
-
-
-def _x_partial(P: Multivector, l: int) -> Multivector:
-    name = P.chart.names[l]
-    return Multivector(P.chart, P.grade,
-                       {idx: p.partial(name) for idx, p in P.comps.items()})
+def _add_odd_terms(out: Dict[Index, ExpPoly], T: Multivector, U: Multivector,
+                   sign: int, t_first: bool) -> None:
+    """Add  sign * sum_l (dT/dtheta_l) ^ (dU/dx_l)  to `out`, with the two
+    wedge factors swapped when not `t_first`.  The left Grassmann derivative
+    of dx^I at the position pos of l in I is (-1)^pos dx^(I without l), so
+    every product lands, signed by sorting its index, in one component."""
+    names = T.chart.names
+    partials: Dict[Tuple[Index, int], ExpPoly] = {}
+    for tidx, t in T.comps.items():
+        for pos, l in enumerate(tidx):
+            rest = tidx[:pos] + tidx[pos + 1:]
+            for uidx, u in U.comps.items():
+                du = partials.get((uidx, l))
+                if du is None:
+                    du = partials[(uidx, l)] = u.partial(names[l])
+                if not du.terms:
+                    continue
+                sidx, s = _sort_index(rest + uidx if t_first else uidx + rest)
+                if sidx is None:
+                    continue
+                q = t * du
+                if (s if pos % 2 == 0 else -s) != sign:
+                    q = -q
+                q0 = out.get(sidx)
+                out[sidx] = q if q0 is None else q0 + q
 
 
 def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
@@ -297,29 +318,15 @@ def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
     if P.chart != Q.chart:
         raise ChartMismatchError("operands on different charts")
     grade = max(P.grade + Q.grade - 1, 0)
-    out = Multivector.zero(P.chart, grade)
     if P.grade == 0 and Q.grade == 0:
-        return out
-    sign_p = -1 if (P.grade - 1) % 2 else 1
-    for l in range(P.chart.dim):
-        if P.grade > 0:
-            tp = _theta_partial(P, l)
-            if not tp.is_zero:
-                xq = _x_partial(Q, l)
-                if not xq.is_zero:
-                    term = tp.wedge(xq)
-                    out = out + term if sign_p == 1 else out - term
-        if Q.grade > 0:
-            tq = _theta_partial(Q, l)
-            if not tq.is_zero:
-                xp = _x_partial(P, l)
-                if not xp.is_zero:
-                    out = out - xp.wedge(tq)
-    if ((P.grade - 1) * (Q.grade - 1)) % 2:
-        out = -out
+        return Multivector.zero(P.chart, grade)
+    twist = -1 if ((P.grade - 1) * (Q.grade - 1)) % 2 else 1
+    out: Dict[Index, ExpPoly] = {}
+    _add_odd_terms(out, P, Q, -twist if (P.grade - 1) % 2 else twist, True)
+    _add_odd_terms(out, Q, P, -twist, False)
     if grade == 0:
-        return out.comps.get((), ExpPoly.zero(P.chart))
-    return out
+        return out.get((), ExpPoly.zero(P.chart))
+    return Multivector._make(P.chart, grade, out)
 
 
 # ---------------------------------------------------------------------------

@@ -156,11 +156,22 @@ _RANKED = {"c": "structure functions", "rho": "anchor components",
            "phi": "cocycle components"}
 
 
+def _int(text: str, t: Token) -> int:
+    """The value of a digit string within token t; a literal too long for
+    int() is an error at that token."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"integer literal of {len(text)} digits is too long",
+                        t.line, t.col) from None
+
+
 class _Parser:
     def __init__(self, toks: List[Token]):
         self.toks = toks
         self.i = 0
         self.full_chart = Chart(())
+        self.section_end: Optional[Token] = None  # `end` of the last section
 
     # -- token plumbing ------------------------------------------------
 
@@ -210,7 +221,7 @@ class _Parser:
         t = self.expect("number", what)
         if "/" in t.text:
             raise SpecError(f"expected {what}, found rational {t.text!r}", t.line, t.col)
-        v = int(t.text)
+        v = _int(t.text, t)
         return -v if neg else v
 
     def expect_index(self, rank: int, what: str) -> int:
@@ -249,10 +260,6 @@ class _Parser:
             else:
                 raise SpecError(f"unknown section {t.text!r}", t.line, t.col)
             self.skip_blank()
-        if spec.cocycle is not None and spec.rank is not None:
-            if len(spec.cocycle) != spec.rank:
-                raise SpecError("cocycle components do not match the rank",
-                                self.cur.line, self.cur.col)
         return spec
 
     def _section_lines(self):
@@ -261,7 +268,7 @@ class _Parser:
             if self.cur.kind == "eof":
                 raise self.error("section not closed by 'end'")
             if self.cur.kind == "ident" and self.cur.text == "end":
-                self.advance()
+                self.section_end = self.advance()
                 self.end_line()
                 return
             yield
@@ -356,8 +363,13 @@ class _Parser:
             comps[i] = self.parse_expr(base)
             self.end_line()
         if comps:
+            # the rank is known here, as it precedes every phi entry
+            if max(comps) != spec.rank:
+                t = self.section_end
+                raise SpecError("cocycle components do not match the rank",
+                                t.line, t.col)
             spec.cocycle = tuple(comps.get(i, ExpPoly.zero(base))
-                                 for i in range(1, max(comps) + 1))
+                                 for i in range(1, spec.rank + 1))
 
     def _parse_jacobi(self, spec: SpecFile) -> None:
         chart = spec.chart
@@ -398,10 +410,11 @@ class _Parser:
             self.advance()
             if "/" in t.text:
                 a, b = t.text.split("/")
-                if int(b) == 0:
+                a, b = _int(a, t), _int(b, t)
+                if b == 0:
                     raise SpecError("zero denominator", t.line, t.col)
-                return ExpPoly.const(chart, Fraction(int(a), int(b)))
-            return ExpPoly.const(chart, int(t.text))
+                return ExpPoly.const(chart, Fraction(a, b))
+            return ExpPoly.const(chart, _int(t.text, t))
         if self.at_sym("("):
             self.advance()
             p = self.parse_expr(chart)
@@ -471,7 +484,7 @@ class _Parser:
         while True:
             p = self._coefficient(chart)
             t = self.expect("basis", "basis reference e_<k>")
-            k = int(t.text[2:])
+            k = _int(t.text[2:], t)
             if not 1 <= k <= rank:
                 raise SpecError(f"basis index {k} out of range", t.line, t.col)
             out.append((k, p))

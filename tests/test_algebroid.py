@@ -10,7 +10,7 @@ from linjacobi import (AlgebroidError, AlgebroidPatch, Chart, Cocycle,
                        bracket_sections, cotangent_algebroid,
                        jacobi_algebroid, verify_algebroid, verify_cocycle)
 
-from conftest import base_chart, random_poly
+from conftest import base_chart, count_calls, random_poly
 
 POINT = Chart(())
 R3 = base_chart(3)
@@ -124,3 +124,57 @@ def test_section_rendering():
     s = Section(A, (2, -1))
     assert s.render() == "2 e1 + -1 e2"
     assert Section(A, (0, 0)).render() == "0"
+
+
+def _dense_bracket(A, mu, eta):
+    """sum_ij mu_i eta_j c_ij^k + sum_li (mu_i rho^l_i d_l eta_k
+    - eta_i rho^l_i d_l mu_k), every product formed."""
+    chart, n = A.base_chart, A.rank
+    m, e = mu.components, eta.components
+    out = []
+    for k in range(1, n + 1):
+        acc = ExpPoly.zero(chart)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                acc = acc + m[i - 1] * e[j - 1] * A.c(i, j, k)
+            for l, name in enumerate(chart.names):
+                r = A.rho(l, i)
+                acc = acc + m[i - 1] * r * e[k - 1].partial(name)
+                acc = acc - e[i - 1] * r * m[k - 1].partial(name)
+        out.append(acc)
+    return Section(A, out)
+
+
+def _random_patch(rng, chart, n):
+    structure, anchor = {}, {}
+    for _ in range(rng.randint(1, 2 * n) if n > 1 else 0):
+        i, j = rng.sample(range(1, n + 1), 2)
+        structure[(i, j, rng.randint(1, n))] = random_poly(rng, chart)
+    for _ in range(rng.randint(0, n)):
+        anchor[(rng.randrange(chart.dim), rng.randint(1, n))] = random_poly(rng, chart)
+    return AlgebroidPatch(chart, n, structure, anchor)
+
+
+def test_bracket_sections_matches_dense_leibniz_formula():
+    rng = random.Random(22)
+    xt = Chart((("x", "base"), ("t", "time")))
+    for chart in (base_chart(2), xt):
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            A = _random_patch(rng, chart, n)
+            mu, eta = (Section(A, [random_poly(rng, chart) if rng.random() < 0.6
+                                   else 0 for _ in range(n)]) for _ in range(2))
+            assert bracket_sections(A, mu, eta) == _dense_bracket(A, mu, eta)
+            assert bracket_sections(A, mu, mu).is_zero
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_algebroid_brackets_each_basis_pair_once(monkeypatch, n):
+    """n diagonal brackets, one per pair i < j, and three outer brackets
+    per triple: 22 calls at rank 4 (re-bracketing every pair made 34)."""
+    A = _random_patch(random.Random(23), base_chart(2), n)
+    expected = verify_algebroid(A)
+    calls = count_calls(monkeypatch, bracket_sections)
+    rep = verify_algebroid(A)
+    assert len(calls) == n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 2
+    assert rep.to_text() == expected.to_text()

@@ -272,3 +272,19 @@ def test_invert_checks_C1_and_C2_once(tmp_path, aff1_spec, monkeypatch):
     code, out = run_command(["invert", str(jspec)])
     assert code == 0, out
     assert len(c1) == 1 and len(c2) == 1
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("text, at", [
+    (f"algebroid\n  rank {LONG}\nend\n", "2:8"),
+    (f"algebroid\n  rank 1\nend\ncocycle\n  phi[1] = {LONG}\nend\n", "5:12"),
+    (f"algebroid\n  rank 1\nend\ncocycle\n  phi[1] = 1/{LONG}\nend\n", "5:12"),
+    (f"algebroid\n  rank 2\n  c[1,2] = (1)*e_{LONG}\nend\n", "3:16"),
+], ids=["integer", "number", "rational", "basis"])
+def test_overlong_integer_literal_fails_at_its_token(tmp_path, text, at):
+    p = tmp_path / "long.spec"
+    p.write_text(text)
+    assert run_command(["verify-cocycle", str(p)]) == (
+        2, f"error: {at}: integer literal of 5000 digits is too long")

@@ -236,3 +236,83 @@ def test_empty_bivector_is_nondegenerate():
 def test_grade_errors():
     with pytest.raises(GradeError):
         Multivector(R3, 2, {(0,): ExpPoly.const(R3, 1)})
+
+
+# -- results of the unchecked constructor -----------------------------------
+
+XYZ = base_chart(3)
+XMU = Chart((("x", "base"), ("y", "base"), ("mu", "fiber")))
+XT = Chart((("x", "base"), ("y", "base"), ("t", "time")))
+
+
+def _random_tensor(rng, cls, chart, grade):
+    """A random Multivector or DiffForm; on a time chart some components
+    carry e^{kt} factors."""
+    if grade == 0:
+        comps = {(): random_poly(rng, chart)}
+    else:
+        comps = random_multivector(rng, chart, grade).comps
+    if chart.has_time:
+        comps = {i: p * ExpPoly.s_power(chart, rng.randint(-2, 2))
+                 for i, p in comps.items()}
+    return cls(chart, grade, comps)
+
+
+def _assert_graded_canonical(r):
+    assert r == type(r)(r.chart, r.grade, r.comps)
+    for idx, p in r.comps.items():
+        assert not p.is_zero
+        assert len(idx) == r.grade
+        assert all(a < b for a, b in zip(idx, idx[1:]))
+        assert all(0 <= i < r.chart.dim for i in idx)
+
+
+def test_graded_results_are_canonical():
+    """Sums, differences, negations, scalings, wedges and Schouten
+    brackets skip the validating constructor; each result must still be
+    what that constructor would make of its components."""
+    rng = random.Random(20241)
+    for chart in (XYZ, XMU, XT):
+        for cls in (Multivector, DiffForm):
+            for _ in range(25):
+                p, q = rng.randint(0, 2), rng.randint(0, 2)
+                A = _random_tensor(rng, cls, chart, p)
+                B = _random_tensor(rng, cls, chart, p)
+                C = _random_tensor(rng, cls, chart, q)
+                f = random_poly(rng, chart)
+                c = rng.choice([-2, -1, 0, 1, 3])
+                results = [A + B, A - B, A - A, -A, A * f, f * A, A * c, c * A,
+                           0 * A, A.wedge(C), A.wedge(A)]
+                if cls is Multivector and p and q:
+                    results += [sn_bracket(A, C), sn_bracket(A, A)]
+                for r in results:
+                    _assert_graded_canonical(r)
+
+
+def test_schouten_bracket_oracles_on_every_chart_kind():
+    """[P,Q] = -(-1)^((p-1)(q-1)) [Q,P];  [X,f] = X(f);  [X,Y]^l =
+    X(Y^l) - Y(X^l);  graded Jacobi on vector, vector, bivector; on
+    charts with fiber and time coordinates (d/dt also acts on e^{kt})."""
+    rng = random.Random(20242)
+    for chart in (XYZ, XMU, XT):
+        for _ in range(15):
+            p, q = rng.randint(1, 3), rng.randint(1, 3)
+            P = _random_tensor(rng, Multivector, chart, p)
+            Q = _random_tensor(rng, Multivector, chart, q)
+            sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
+            assert sn_bracket(P, Q) == (-sign) * sn_bracket(Q, P)
+
+            X = _random_tensor(rng, Multivector, chart, 1)
+            Y = _random_tensor(rng, Multivector, chart, 1)
+            f = _random_tensor(rng, Multivector, chart, 0).as_function()
+            assert sn_bracket(X, f) == X.apply(f)
+            lie = Multivector(chart, 1, {
+                (l,): X.apply(Y.component((l,))) - Y.apply(X.component((l,)))
+                for l in range(chart.dim)})
+            assert sn_bracket(X, Y) == lie
+
+            L = _random_tensor(rng, Multivector, chart, 2)
+            total = (sn_bracket(X, sn_bracket(Y, L))
+                     + sn_bracket(Y, sn_bracket(L, X))
+                     + sn_bracket(L, sn_bracket(X, Y)))
+            assert total.is_zero

@@ -154,6 +154,11 @@ def test_cocycle_index_out_of_range_has_position():
     assert _error_at(text) == (5, 7, "component index 0 out of range")
 
 
+def test_cocycle_rank_mismatch_is_reported_at_the_section_end():
+    text = "algebroid\n  rank 2\nend\ncocycle\n  phi[1] = 1\nend\n"
+    assert _error_at(text) == (6, 1, "cocycle components do not match the rank")
+
+
 def test_rank_must_precede_anchor_and_cocycle():
     text = "patch\n  x base\nend\nalgebroid\n  rho[1] = (1)*d/dx\n  rank 1\nend\n"
     assert _error_at(text) == (5, 3, "rank must precede anchor components")
