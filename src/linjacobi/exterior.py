@@ -309,7 +309,8 @@ def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
     twisted by (-1)^((p-1)(q-1)).  The twist picks, among the two standard
     sign conventions, the one under which a bivector/vector pair built from
     an algebroid with cocycle satisfies  [L, L] = 2 E ^ L  on the nose,
-    while [X, Y] stays the Lie bracket and [X, f] = X(f).
+    while [X, Y] stays the Lie bracket and [X, f] = X(f).  A grade-0
+    result, [f, g] = 0 included, is an ExpPoly.
     """
     if isinstance(P, ExpPoly):
         P = Multivector(P.chart, 0, {(): P})
@@ -318,8 +319,6 @@ def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
     if P.chart != Q.chart:
         raise ChartMismatchError("operands on different charts")
     grade = max(P.grade + Q.grade - 1, 0)
-    if P.grade == 0 and Q.grade == 0:
-        return Multivector.zero(P.chart, grade)
     twist = -1 if ((P.grade - 1) * (Q.grade - 1)) % 2 else 1
     out: Dict[Index, ExpPoly] = {}
     _add_odd_terms(out, P, Q, -twist if (P.grade - 1) % 2 else twist, True)
@@ -336,7 +335,7 @@ def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
 def exterior_d(w: Union[DiffForm, ExpPoly]) -> DiffForm:
     """Exterior derivative; accepts a bare ExpPoly as a 0-form."""
     if isinstance(w, ExpPoly):
-        w = DiffForm.from_function(w)
+        w = DiffForm._make(w.chart, 0, {(): w})
     chart = w.chart
     comps: Dict[Index, ExpPoly] = {}
     for idx, p in w.comps.items():
@@ -348,8 +347,9 @@ def exterior_d(w: Union[DiffForm, ExpPoly]) -> DiffForm:
             if sidx is None:
                 continue
             q = dp if sign == 1 else -dp
-            comps[sidx] = comps.get(sidx, ExpPoly.zero(chart)) + q
-    return DiffForm(chart, w.grade + 1, comps)
+            q0 = comps.get(sidx)
+            comps[sidx] = q if q0 is None else q0 + q
+    return DiffForm._make(chart, w.grade + 1, comps)
 
 
 def _interior_vector(X: Multivector, w: DiffForm) -> DiffForm:

@@ -306,16 +306,14 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
     jacobi_rep = verify_jacobi(J)
     rep.extend(jacobi_rep, "jacobi.")
 
-    with rep.timed("expected_lambda") as slot:
+    with rep.timed("expected_lambda") as bad:
         got = J.lam.render()
-        slot["ok"] = got == case.expected.get("lambda", got)
-        if not slot["ok"]:
-            slot["residual"] = f"got {got}, expected {case.expected['lambda']}"
-    with rep.timed("expected_efield") as slot:
+        if got != case.expected.get("lambda", got):
+            bad.append(f"got {got}, expected {case.expected['lambda']}")
+    with rep.timed("expected_efield") as bad:
         got = J.e_field.render()
-        slot["ok"] = got == case.expected.get("efield", got)
-        if not slot["ok"]:
-            slot["residual"] = f"got {got}, expected {case.expected['efield']}"
+        if got != case.expected.get("efield", got):
+            bad.append(f"got {got}, expected {case.expected['efield']}")
 
     rep.extend(roundtrip_check(pair), "roundtrip.")
 
@@ -323,45 +321,42 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
     if not jacobi_rep.passed:
         raise AlgebroidError("input is not a Jacobi structure")
     P = _poissonize(J, time_name)
-    with rep.timed("poissonization_poisson") as slot:
+    with rep.timed("poissonization_poisson") as bad:
         res = sn_bracket(P, P)
-        slot["ok"] = res.is_zero
-        slot["residual"] = res.render()
-    with rep.timed("poissonization_matches_dual") as slot:
+        if not res.is_zero:
+            bad.append(res.render())
+    with rep.timed("poissonization_matches_dual") as bad:
         hat = hat_algebroid(pair, time_name)
         Lhat = linear_poisson_dual(hat, hat.dual_chart(list(J.chart.fiber_names)))
         res = Lhat - P.transfer(Lhat.chart)
-        slot["ok"] = res.is_zero
-        slot["residual"] = res.render()
+        if not res.is_zero:
+            bad.append(res.render())
 
     if case.contact is not None:
-        with rep.timed("contact_match") as slot:
+        with rep.timed("contact_match") as bad:
             Jc = contact_to_jacobi(case.contact)
-            ok = Jc == J
-            slot["ok"] = ok
-            if not ok:
-                slot["residual"] = (f"lambda diff {(Jc.lam - J.lam).render()}; "
-                                    f"E diff {(Jc.e_field - J.e_field).render()}")
+            if Jc != J:
+                bad.append(f"lambda diff {(Jc.lam - J.lam).render()}")
+                bad.append(f"E diff {(Jc.e_field - J.e_field).render()}")
 
     if case.name == "lcs_T*R2":
-        with rep.timed("nondegenerate") as slot:
+        with rep.timed("nondegenerate") as bad:
             verdict = check_nondegenerate(J.lam)
-            slot["ok"] = verdict == "nondegenerate_constant"
-            if not slot["ok"]:
-                slot["residual"] = verdict
+            if verdict != "nondegenerate_constant":
+                bad.append(verdict)
 
     if case.name == "tangent_lift_so3star":
-        with rep.timed("automorphism") as slot:
+        with rep.timed("automorphism") as bad:
             base = pair.algebroid.base_chart
             X = Multivector(base, 1,
                             {(i,): p for i, p in enumerate(pair.cocycle.components)
                              if not p.is_zero})
             res = sn_bracket(X, _so3star_bivector(base))
-            slot["ok"] = res.is_zero
-            slot["residual"] = res.render()
+            if not res.is_zero:
+                bad.append(res.render())
 
     if case.name == "jacobi_lift_R":
-        with rep.timed("lift_formula") as slot:
+        with rep.timed("lift_formula") as bad:
             base = pair.algebroid.base_chart
             E = Multivector(base, 1, {(0,): ExpPoly.const(base, 1)})
             E_c, E_v = complete_vertical_lift(E)
@@ -372,23 +367,19 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
             lam = dt.wedge(E_c.transfer(ext)) - t * dt.wedge(E_v.transfer(ext))
             lam = lam.transfer(J.chart)
             res = (lam - J.lam, E_v.transfer(ext).transfer(J.chart) - J.e_field)
-            slot["ok"] = res[0].is_zero and res[1].is_zero
-            slot["residual"] = "; ".join(r.render() for r in res if not r.is_zero)
+            bad.extend(r.render() for r in res if not r.is_zero)
 
     if case.name == "poissonization_aff1":
-        with rep.timed("hat_recovered") as slot:
+        with rep.timed("hat_recovered") as bad:
             # this case's chart has no t, so P was built with time_name "t"
             hat = hat_algebroid(pair)
             back = psi_inverse(
                 JacobiStructure.poisson(P.transfer(hat.dual_chart(
                     list(J.chart.fiber_names)))))
-            diffs = []
             if not back.algebroid.same_structure(hat):
-                diffs.append("structure mismatch")
+                bad.append("structure mismatch")
             if not back.cocycle.is_zero:
-                diffs.append("nonzero cocycle recovered")
-            slot["ok"] = not diffs
-            slot["residual"] = "; ".join(diffs)
+                bad.append("nonzero cocycle recovered")
 
 
 def _so3star_bivector(base: Chart) -> Multivector:
@@ -408,8 +399,7 @@ def _run_jacobi(case: GalleryCase, rep: Report) -> None:
         want = case.expected_verdicts.get(label)
         if want is None:
             continue
-        with rep.timed(f"expected_{label}_verdict") as slot:
+        with rep.timed(f"expected_{label}_verdict") as bad:
             got = "pass" if sub.passed else "fail"
-            slot["ok"] = got == want
-            if not slot["ok"]:
-                slot["residual"] = f"got {got}, expected {want}"
+            if got != want:
+                bad.append(f"got {got}, expected {want}")

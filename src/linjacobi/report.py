@@ -24,19 +24,16 @@ class Check:
 class Report:
     checks: List[Check] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, residual: str = "",
-            ms: float = 0.0) -> None:
-        self.checks.append(Check(name, PASS if passed else FAIL,
-                                 "" if passed else residual, ms))
-
     @contextmanager
-    def timed(self, name: str) -> Iterator[dict]:
-        """Collects {'ok': bool, 'residual': str} and records elapsed time."""
-        slot = {"ok": False, "residual": ""}
+    def timed(self, name: str) -> Iterator[List[str]]:
+        """Yields a list for residual lines and records the check when the
+        block exits: pass iff no line was added, else fail with the lines
+        joined by "; "; ms is the block's wall time."""
+        lines: List[str] = []
         t0 = time.perf_counter()
-        yield slot
-        self.add(name, slot["ok"], slot["residual"],
-                 (time.perf_counter() - t0) * 1000.0)
+        yield lines
+        self.checks.append(Check(name, FAIL if lines else PASS, "; ".join(lines),
+                                 (time.perf_counter() - t0) * 1000.0))
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .chart import Chart, ChartError
 from .ring import ExpPoly
@@ -323,7 +323,7 @@ class _Parser:
                 once(("c", min(i, j), max(i, j)), f"c[{i},{j}] or c[{j},{i}]", t)
                 self.expect_sym("]")
                 self.expect_sym("=")
-                for k, p in self._basis_sum(base, rank, t):
+                for k, p in self._sum(base, lambda: self._basis_ref(rank)):
                     if i == j and not p.is_zero:
                         raise SpecError("diagonal structure function must be zero",
                                         t.line, t.col)
@@ -337,7 +337,7 @@ class _Parser:
                 once(("rho", i), f"rho[{i}]", t)
                 self.expect_sym("]")
                 self.expect_sym("=")
-                for l, p in self._vector_sum(base):
+                for l, p in self._sum(base, lambda: self._derivation(base)):
                     key = (l, i)
                     spec.anchor[key] = spec.anchor.get(
                         key, ExpPoly.zero(base)) + p
@@ -474,79 +474,58 @@ class _Parser:
             p = ExpPoly.const(chart, 1)
         return p if sign > 0 else -p
 
-    def _basis_sum(self, chart: Chart, rank: int, at: Token):
-        """sum of coeff*e_k terms (or 0) on a c[i,j] line."""
-        out: List[Tuple[int, ExpPoly]] = []
+    def _sum(self, chart: Chart,
+             symbol: Callable[[], Any]) -> List[Tuple[Any, ExpPoly]]:
+        """coeff*symbol terms joined by + and - (or a lone 0) as
+        (key, coeff) pairs; symbol() reads one e_k, d/dx or d/dx^d/dy...
+        and returns its key."""
+        out: List[Tuple[Any, ExpPoly]] = []
         if self.cur.kind == "number" and self.cur.text == "0" \
                 and self.toks[self.i + 1].kind in ("nl", "eof"):
             self.advance()
             return out
         while True:
             p = self._coefficient(chart)
-            t = self.expect("basis", "basis reference e_<k>")
-            k = _int(t.text[2:], t)
-            if not 1 <= k <= rank:
-                raise SpecError(f"basis index {k} out of range", t.line, t.col)
-            out.append((k, p))
+            out.append((symbol(), p))
             if self.at_sym("+"):
                 self.advance()
-                continue
-            if self.at_sym("-"):
-                continue  # handled as a sign by _coefficient
-            return out
+            elif not self.at_sym("-"):  # a minus is read as a sign by _coefficient
+                return out
 
-    def _vector_sum(self, chart: Chart) -> List[Tuple[int, ExpPoly]]:
-        """sum of coeff*d/dx terms (or 0) on a rho line."""
-        out: List[Tuple[int, ExpPoly]] = []
-        if self.cur.kind == "number" and self.cur.text == "0" \
-                and self.toks[self.i + 1].kind in ("nl", "eof"):
-            self.advance()
-            return out
+    def _basis_ref(self, rank: int) -> int:
+        t = self.expect("basis", "basis reference e_<k>")
+        k = _int(t.text[2:], t)
+        if not 1 <= k <= rank:
+            raise SpecError(f"basis index {k} out of range", t.line, t.col)
+        return k
+
+    def _derivation(self, chart: Chart) -> int:
+        t = self.expect("ddn", "derivation d/d<coordinate>")
+        name = t.text[3:]
+        if not chart.has(name):
+            raise SpecError(f"undeclared coordinate {name!r}", t.line, t.col)
+        return chart.index(name)
+
+    def _derivations(self, chart: Chart, grade: int) -> Tuple[int, ...]:
+        """d/dx^d/dy^... with exactly `grade` factors."""
+        idx = []
         while True:
-            p = self._coefficient(chart)
-            t = self.expect("ddn", "derivation d/d<coordinate>")
-            name = t.text[3:]
-            if not chart.has(name):
-                raise SpecError(f"undeclared coordinate {name!r}", t.line, t.col)
-            out.append((chart.index(name), p))
-            if self.at_sym("+"):
-                self.advance()
-                continue
-            if self.at_sym("-"):
-                continue
-            return out
+            t = self.cur
+            idx.append(self._derivation(chart))
+            if not self.at_sym("^"):
+                break
+            self.advance()
+        if len(idx) != grade:
+            raise SpecError(f"expected a grade-{grade} term, got {len(idx)} factors",
+                            t.line, t.col)
+        return tuple(idx)
 
     def _multivector(self, chart: Chart, grade: int) -> Multivector:
-        out = Multivector.zero(chart, grade)
-        if self.cur.kind == "number" and self.cur.text == "0" \
-                and self.toks[self.i + 1].kind in ("nl", "eof"):
-            self.advance()
-            return out
-        while True:
-            p = self._coefficient(chart)
-            idx = []
-            t = self.expect("ddn", "derivation d/d<coordinate>")
-            while True:
-                name = t.text[3:]
-                if not chart.has(name):
-                    raise SpecError(f"undeclared coordinate {name!r}",
-                                    t.line, t.col)
-                idx.append(chart.index(name))
-                if self.at_sym("^"):
-                    self.advance()
-                    t = self.expect("ddn", "derivation d/d<coordinate>")
-                    continue
-                break
-            if len(idx) != grade:
-                raise SpecError(f"expected a grade-{grade} term, got {len(idx)} factors",
-                                t.line, t.col)
-            out = out + Multivector(chart, grade, {tuple(idx): p})
-            if self.at_sym("+"):
-                self.advance()
-                continue
-            if self.at_sym("-"):
-                continue
-            return out
+        comps: Dict[Tuple[int, ...], ExpPoly] = {}
+        for idx, p in self._sum(chart, lambda: self._derivations(chart, grade)):
+            q = comps.get(idx)
+            comps[idx] = p if q is None else q + p
+        return Multivector(chart, grade, comps)
 
 
 def parse_expression(text: str, chart: Chart) -> ExpPoly:

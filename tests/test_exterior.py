@@ -122,6 +122,13 @@ def test_bracket_vector_with_function():
     assert sn_bracket(X, f) == 2 * _v(R3, "x1") * _v(R3, "x2")
 
 
+def test_bracket_of_two_functions_is_the_zero_function():
+    chart = Chart((("x", "base"),))
+    x = ExpPoly.var(chart, "x")
+    assert sn_bracket(x, x) == ExpPoly.zero(chart)
+    assert sn_bracket(Multivector(chart, 0, {(): x}), x) == ExpPoly.zero(chart)
+
+
 def test_graded_antisymmetry():
     rng = random.Random(13)
     for _ in range(60):
@@ -269,7 +276,7 @@ def _assert_graded_canonical(r):
 
 def test_graded_results_are_canonical():
     """Sums, differences, negations, scalings, wedges and Schouten
-    brackets skip the validating constructor; each result must still be
+    brackets and exterior derivatives skip the validating constructor; each result must still be
     what that constructor would make of its components."""
     rng = random.Random(20241)
     for chart in (XYZ, XMU, XT):
@@ -283,6 +290,8 @@ def test_graded_results_are_canonical():
                 c = rng.choice([-2, -1, 0, 1, 3])
                 results = [A + B, A - B, A - A, -A, A * f, f * A, A * c, c * A,
                            0 * A, A.wedge(C), A.wedge(A)]
+                if cls is DiffForm:
+                    results += [exterior_d(A), exterior_d(f), exterior_d(0 * f)]
                 if cls is Multivector and p and q:
                     results += [sn_bracket(A, C), sn_bracket(A, A)]
                 for r in results:
