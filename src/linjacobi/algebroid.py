@@ -152,7 +152,9 @@ class Section:
 
     @classmethod
     def basis(cls, algebroid: AlgebroidPatch, i: int) -> "Section":
-        return cls(algebroid, tuple(1 if j == i else 0
+        chart = algebroid.base_chart
+        one, zero = ExpPoly.const(chart, 1), ExpPoly.zero(chart)
+        return cls(algebroid, tuple(one if j == i else zero
                                     for j in range(1, algebroid.rank + 1)))
 
     def __eq__(self, other):

@@ -15,7 +15,7 @@ from .chart import ChartError
 from .ring import ChartMismatchError
 from .algebroid import AlgebroidError, verify_algebroid, verify_cocycle
 from .jacobi import check_C1, check_C2, jacobi_bracket, verify_jacobi
-from .correspondence import (AlgebroidWithCocycle, _extract_pair, forward_report,
+from .correspondence import (AlgebroidWithCocycle, _recover, forward_report,
                              psi_forward, roundtrip_check)
 from .gallery import GalleryError, build_case
 from .report import Check, Report
@@ -160,7 +160,7 @@ def _cmd_invert(args) -> Tuple[int, Report, str]:
     if not rep.passed:
         return 1, rep, ""
     # C1 and C2 passed above; the recovered pair is verified when built
-    pair = _extract_pair(J)
+    pair = AlgebroidWithCocycle(*_recover(J))
     rep.extend(pair.algebroid_report, "recovered.")
     text = render_spec(spec_from_algebroid(pair.algebroid, pair.cocycle))
     return 0, rep, text

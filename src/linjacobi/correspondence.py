@@ -14,7 +14,7 @@ from .ring import ExpPoly
 from .exterior import Multivector, sn_bracket
 from .algebroid import (AlgebroidError, AlgebroidPatch, Cocycle, verify_algebroid,
                         verify_cocycle)
-from .jacobi import JacobiStructure, check_C1, check_C2, jacobi_bracket, verify_jacobi
+from .jacobi import JacobiStructure, _gen_bracket, check_C1, check_C2, verify_jacobi
 from .report import Report
 
 
@@ -137,7 +137,9 @@ def psi_forward(pair: AlgebroidWithCocycle,
     lam = linear_poisson_dual(A, dual)
     phi_v = vertical_lift(A, phi, dual)
     lam = lam + liouville(dual).wedge(phi_v)
-    return JacobiStructure(dual, lam, -phi_v)
+    J = JacobiStructure(dual, lam, -phi_v)
+    object.__setattr__(J, "_pair", pair)
+    return J
 
 
 def forward_report(pair: AlgebroidWithCocycle,
@@ -148,7 +150,7 @@ def forward_report(pair: AlgebroidWithCocycle,
         J = psi_forward(pair)
     A, phi = pair.algebroid, pair.cocycle
     dual = J.chart
-    fib = dual.fiber_indices
+    mu = dual.fiber_names
     rep = Report()
     rep.extend(verify_jacobi(J), "jacobi.")
     rep.extend(check_C1(J), "C1.")
@@ -157,28 +159,23 @@ def forward_report(pair: AlgebroidWithCocycle,
     with rep.timed("bracket_linear_linear") as bad:
         for i in range(1, A.rank + 1):
             for j in range(i + 1, A.rank + 1):
-                mui = ExpPoly.var(dual, dual.names[fib[i - 1]])
-                muj = ExpPoly.var(dual, dual.names[fib[j - 1]])
-                lhs = jacobi_bracket(J, mui, muj)
+                lhs = _gen_bracket(J, mu[i - 1], mu[j - 1])
                 rhs = ExpPoly.zero(dual)
                 for k in range(1, A.rank + 1):
-                    muk = ExpPoly.var(dual, dual.names[fib[k - 1]])
+                    muk = ExpPoly.var(dual, mu[k - 1])
                     rhs = rhs + A.c(i, j, k).transfer(dual) * muk
                 if lhs != rhs:
                     bad.append(f"({i},{j}): {(lhs - rhs).render()}")
 
     with rep.timed("bracket_linear_basic") as bad:
         for i in range(1, A.rank + 1):
-            mui = ExpPoly.var(dual, dual.names[fib[i - 1]])
             for l, name in enumerate(A.base_chart.names):
-                f = ExpPoly.var(dual, name)
-                lhs = jacobi_bracket(J, mui, f)
+                lhs = _gen_bracket(J, mu[i - 1], name)
                 rhs = (A.rho(l, i) + phi.components[i - 1] *
                        ExpPoly.var(A.base_chart, name)).transfer(dual)
                 if lhs != rhs:
                     bad.append(f"({i},{name}): {(lhs - rhs).render()}")
-            one = ExpPoly.const(dual, 1)
-            lhs = jacobi_bracket(J, mui, one)
+            lhs = _gen_bracket(J, mu[i - 1], None)
             rhs = phi.components[i - 1].transfer(dual)
             if lhs != rhs:
                 bad.append(f"({i},1): {(lhs - rhs).render()}")
@@ -187,7 +184,7 @@ def forward_report(pair: AlgebroidWithCocycle,
         names = A.base_chart.names
         for a, na in enumerate(names):
             for nb in names[a + 1:]:
-                lhs = jacobi_bracket(J, ExpPoly.var(dual, na), ExpPoly.var(dual, nb))
+                lhs = _gen_bracket(J, na, nb)
                 if not lhs.is_zero:
                     bad.append(f"({na},{nb}): {lhs.render()}")
 
@@ -230,8 +227,20 @@ def psi_inverse(J: JacobiStructure,
     basic as the formula needs, so C1Violation and C2Violation are the
     only linearity rejections.  J is not checked to be Jacobi: building
     the recovered pair verifies it, and raises AlgebroidError when it is
-    not an algebroid with a cocycle.
+    not an algebroid with a cocycle.  When J is psi_forward(pair) and the
+    recovered algebroid (basis names included) and cocycle equal pair's,
+    that verified pair is returned as it is.
     """
+    _check_linear(J)
+    A, phi = _recover(J, basis_names)
+    pair = J._pair
+    if pair is not None and pair.algebroid == A and pair.cocycle == phi:
+        return pair
+    return AlgebroidWithCocycle(A, phi)
+
+
+def _check_linear(J: JacobiStructure) -> None:
+    """The gate of psi_inverse: fiber coordinates, check_C1 and check_C2."""
     if not J.chart.fiber_indices:
         raise AlgebroidError("chart has no fiber coordinates")
     rep1 = check_C1(J)
@@ -242,24 +251,21 @@ def psi_inverse(J: JacobiStructure,
     if not rep2.passed:
         failed = [c for c in rep2.checks if c.verdict != "pass"]
         raise C2Violation("C2 violation", failed[0].residual)
-    return _extract_pair(J, basis_names)
 
 
-def _extract_pair(J: JacobiStructure,
-                  basis_names: Optional[Sequence[str]] = None) -> AlgebroidWithCocycle:
-    """The extraction half of psi_inverse, for a J that has fiber
-    coordinates and already passed check_C1 and check_C2."""
+def _recover(J: JacobiStructure, basis_names: Optional[Sequence[str]] = None
+             ) -> Tuple[AlgebroidPatch, Cocycle]:
+    """The extraction half of psi_inverse, unverified, for a J that
+    passed _check_linear."""
     dual = J.chart
-    fib = dual.fiber_indices
     base = dual.restrict(("base", "time"))
-    n = len(fib)
-    one = ExpPoly.const(dual, 1)
-    mu = [ExpPoly.var(dual, dual.names[i]) for i in fib]
+    mu = dual.fiber_names
+    n = len(mu)
 
     structure: Dict[Tuple[int, int, int], ExpPoly] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            br = jacobi_bracket(J, mu[i], mu[j])
+            br = _gen_bracket(J, mu[i], mu[j])
             if br.is_zero:
                 continue
             cs = _fiber_linear_decompose(br, dual, base)
@@ -270,16 +276,15 @@ def _extract_pair(J: JacobiStructure,
     anchor: Dict[Tuple[int, int], ExpPoly] = {}
     phi_comps = []
     for i in range(n):
-        pv = jacobi_bracket(J, mu[i], one)
+        pv = _gen_bracket(J, mu[i], None)
         phi_comps.append(pv.transfer(base))
         for l, name in enumerate(base.names):
-            xl = ExpPoly.var(dual, name)
-            r = jacobi_bracket(J, mu[i], xl) - xl * pv
+            r = _gen_bracket(J, mu[i], name) - ExpPoly.var(dual, name) * pv
             if not r.is_zero:
                 anchor[(l, i + 1)] = r.transfer(base)
 
     A = AlgebroidPatch(base, n, structure, anchor, basis_names=basis_names)
-    return AlgebroidWithCocycle(A, Cocycle(tuple(phi_comps)))
+    return A, Cocycle(tuple(phi_comps))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,9 @@ def roundtrip_check(pair: AlgebroidWithCocycle) -> Report:
     J = psi_forward(pair)
     with rep.timed("inverse_after_forward") as bad:
         try:
-            back = psi_inverse(J)
+            # with the input's basis names, an exact inverse is the input
+            # pair itself and is not verified again
+            back = psi_inverse(J, pair.algebroid.basis_names)
         except LinearityViolation as exc:
             back = None
             failure = f"{exc}: {exc.residual}"

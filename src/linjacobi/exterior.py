@@ -310,7 +310,9 @@ def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
     sign conventions, the one under which a bivector/vector pair built from
     an algebroid with cocycle satisfies  [L, L] = 2 E ^ L  on the nose,
     while [X, Y] stays the Lie bracket and [X, f] = X(f).  A grade-0
-    result, [f, g] = 0 included, is an ExpPoly.
+    result, [f, g] = 0 included, is an ExpPoly.  For P of even grade, [P, P]
+    is one half of the antibracket doubled: the two halves are equal because
+    dP/dtheta_l is odd and dP/dx_l even, so their wedge commutes.
     """
     if isinstance(P, ExpPoly):
         P = Multivector(P.chart, 0, {(): P})
@@ -321,8 +323,12 @@ def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
     grade = max(P.grade + Q.grade - 1, 0)
     twist = -1 if ((P.grade - 1) * (Q.grade - 1)) % 2 else 1
     out: Dict[Index, ExpPoly] = {}
-    _add_odd_terms(out, P, Q, -twist if (P.grade - 1) % 2 else twist, True)
-    _add_odd_terms(out, Q, P, -twist, False)
+    if P is Q and P.grade % 2 == 0:
+        _add_odd_terms(out, P, P, 1, True)
+        out = {i: 2 * q for i, q in out.items()}
+    else:
+        _add_odd_terms(out, P, Q, -twist if (P.grade - 1) % 2 else twist, True)
+        _add_odd_terms(out, Q, P, -twist, False)
     if grade == 0:
         return out.get((), ExpPoly.zero(P.chart))
     return Multivector._make(P.chart, grade, out)

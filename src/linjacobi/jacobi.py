@@ -4,7 +4,7 @@ construction."""
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from .chart import Chart
 from .ring import ChartMismatchError, ExpPoly
@@ -20,7 +20,7 @@ class ContactError(ValueError):
 class JacobiStructure:
     """A bivector/vector pair (lambda, e_field) on a common chart."""
 
-    __slots__ = ("chart", "lam", "e_field")
+    __slots__ = ("chart", "lam", "e_field", "_brackets", "_pair")
 
     def __init__(self, chart: Chart, lam: Multivector, e_field: Multivector):
         if lam.chart != chart or e_field.chart != chart:
@@ -30,6 +30,10 @@ class JacobiStructure:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "e_field", e_field)
+        # generator brackets computed so far, filled by _gen_bracket
+        object.__setattr__(self, "_brackets", {})
+        # the verified pair that psi_forward built this J from, if any
+        object.__setattr__(self, "_pair", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("JacobiStructure is immutable")
@@ -62,6 +66,17 @@ def jacobi_bracket(J: JacobiStructure, f: ExpPoly, g: ExpPoly) -> ExpPoly:
     return out
 
 
+def _gen_bracket(J: JacobiStructure, a: Optional[str], b: Optional[str]) -> ExpPoly:
+    """{a, b} for coordinate names a, b (None for the constant 1), computed
+    once per J and kept in J._brackets."""
+    key = (a, b)
+    if key not in J._brackets:
+        f, g = (ExpPoly.const(J.chart, 1) if n is None else ExpPoly.var(J.chart, n)
+                for n in key)
+        J._brackets[key] = jacobi_bracket(J, f, g)
+    return J._brackets[key]
+
+
 def verify_jacobi(J: JacobiStructure) -> Report:
     """Residuals of [L,L] - 2 E^L and [E,L]; pass iff both vanish."""
     rep = Report()
@@ -91,36 +106,34 @@ def check_C1(J: JacobiStructure) -> Report:
     identity these are equivalent to linearity of the bracket on all
     linear functions.
     """
-    chart = J.chart
     fibers = _fiber_vars(J)
-    bases = [n for n, r in chart.coords if r != "fiber"]
-    one = ExpPoly.const(chart, 1)
+    bases = [n for n, r in J.chart.coords if r != "fiber"]
     rep = Report()
 
     with rep.timed("fiber_fiber_linear") as bad:
         for a, mi in enumerate(fibers):
             for mj in fibers[a + 1:]:
-                b = jacobi_bracket(J, ExpPoly.var(chart, mi), ExpPoly.var(chart, mj))
+                b = _gen_bracket(J, mi, mj)
                 if not (b.is_zero or b.is_linear()):
                     bad.append(f"{{{mi},{mj}}} = {b.render()}")
 
     with rep.timed("fiber_base_basic") as bad:
         for mi in fibers:
             for xl in bases:
-                b = jacobi_bracket(J, ExpPoly.var(chart, mi), ExpPoly.var(chart, xl))
+                b = _gen_bracket(J, mi, xl)
                 if not b.is_basic():
                     bad.append(f"{{{mi},{xl}}} = {b.render()}")
 
     with rep.timed("base_base_zero") as bad:
         for a, xk in enumerate(bases):
             for xl in bases[a + 1:]:
-                b = jacobi_bracket(J, ExpPoly.var(chart, xk), ExpPoly.var(chart, xl))
+                b = _gen_bracket(J, xk, xl)
                 if not b.is_zero:
                     bad.append(f"{{{xk},{xl}}} = {b.render()}")
 
     with rep.timed("base_one_zero") as bad:
         for xk in bases:
-            b = jacobi_bracket(J, ExpPoly.var(chart, xk), one)
+            b = _gen_bracket(J, xk, None)
             if not b.is_zero:
                 bad.append(f"{{{xk},1}} = {b.render()}")
 
@@ -129,13 +142,11 @@ def check_C1(J: JacobiStructure) -> Report:
 
 def check_C2(J: JacobiStructure) -> Report:
     """{mu_i, 1} = -E(mu_i) must be basic for every fiber coordinate."""
-    chart = J.chart
     fibers = _fiber_vars(J)
-    one = ExpPoly.const(chart, 1)
     rep = Report()
     with rep.timed("fiber_one_basic") as bad:
         for mi in fibers:
-            b = jacobi_bracket(J, ExpPoly.var(chart, mi), one)
+            b = _gen_bracket(J, mi, None)
             if not b.is_basic():
                 bad.append(b.render())
     return rep

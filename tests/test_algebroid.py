@@ -126,6 +126,15 @@ def test_section_rendering():
     assert Section(A, (0, 0)).render() == "0"
 
 
+def test_basis_sections_are_canonical():
+    A = aff1()
+    for i in (1, 2):
+        e = Section.basis(A, i)
+        assert e == Section(A, tuple(1 if j == i else 0 for j in (1, 2)))
+        assert [p.terms for p in e.components] == [
+            {((), 0): 1} if j == i else {} for j in (1, 2)]
+
+
 def _dense_bracket(A, mu, eta):
     """sum_ij mu_i eta_j c_ij^k + sum_li (mu_i rho^l_i d_l eta_k
     - eta_i rho^l_i d_l mu_k), every product formed."""

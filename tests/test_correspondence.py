@@ -7,8 +7,8 @@ import pytest
 
 from linjacobi import (AlgebroidError, AlgebroidPatch, AlgebroidWithCocycle,
                        C1Violation, C2Violation, Chart, Cocycle, ExpPoly,
-                       JacobiStructure, Multivector, check_C1, check_C2,
-                       forward_report,
+                       JacobiStructure, Multivector, build_case, check_C1,
+                       check_C2, forward_report,
                        hat_algebroid, jacobi_bracket, linear_poisson_dual,
                        liouville, poissonization, psi_forward, psi_inverse,
                        roundtrip_check, sn_bracket, verify_algebroid,
@@ -134,6 +134,38 @@ def test_inverse_of_non_algebroid_bracket():
     with pytest.raises(AlgebroidError) as exc:
         psi_inverse(J)
     assert not exc.value.algebroid_report.passed
+
+
+def test_inverse_of_forward_returns_the_verified_pair(monkeypatch):
+    pair = aff1_pair(2)
+    J = psi_forward(pair)
+    calls = count_calls(monkeypatch, verify_algebroid)
+    assert psi_inverse(J) is pair
+    assert calls == []
+    # other basis names, or a J that psi_forward did not build: a new pair,
+    # verified when built
+    named = psi_inverse(J, ["a", "b"])
+    assert named is not pair and named == pair
+    assert named.algebroid.basis_names == ("a", "b")
+    plain = psi_inverse(JacobiStructure(J.chart, J.lam, J.e_field))
+    assert plain is not pair and plain == pair
+    assert len(calls) == 2
+
+
+def test_generator_brackets_computed_once_per_structure(monkeypatch):
+    """check_C1, check_C2, psi_inverse and forward_report on one J read
+    each generator bracket {a, b} from one jacobi_bracket call."""
+    pair = build_case("lcs_T*R2").pair
+    J = psi_forward(pair)
+    calls = count_calls(monkeypatch, jacobi_bracket)
+    assert check_C1(J).passed and check_C2(J).passed
+    assert psi_inverse(J) == pair
+    assert forward_report(pair, J).passed
+    args = [(f, g) for _, f, g in calls]
+    assert len(args) == len(set(args))
+    # fibers mu1, mu2 and bases x1, x2: C1 reads 1 + 4 + 1 + 2 brackets, C2
+    # two more, and the inverse map and forward_report no new one
+    assert len(args) == 10
 
 
 def test_roundtrip_inverts_once(monkeypatch):

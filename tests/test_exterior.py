@@ -1,10 +1,12 @@
 """Graded tensors: wedge, exterior derivative, interior product, the
 Schouten bracket and its axioms, sharp/pairing, nondegeneracy."""
 
+import itertools
 import random
 
 import pytest
 
+import linjacobi.exterior as exterior
 from linjacobi import (Chart, DiffForm, ExpPoly, GradeError, Multivector,
                        check_nondegenerate, exterior_d, interior,
                        lie_derivative, pairing, sharp, sn_bracket)
@@ -325,3 +327,58 @@ def test_schouten_bracket_oracles_on_every_chart_kind():
                      + sn_bracket(Y, sn_bracket(L, X))
                      + sn_bracket(L, sn_bracket(X, Y)))
             assert total.is_zero
+
+
+# -- self-brackets of even grade --------------------------------------------
+
+# seven coordinates, so that [P, P] of a 4-vector P (grade 7) can be nonzero
+X3MU3T = Chart(tuple((f"x{i}", "base") for i in (1, 2, 3))
+               + tuple((f"mu{i}", "fiber") for i in (1, 2, 3)) + (("t", "time"),))
+
+
+def _dense_multivector(rng, chart, grade):
+    """A random multivector with up to four nonzero components of up to
+    three terms each; on a time chart each carries an e^{kt} factor."""
+    idxs = list(itertools.combinations(range(chart.dim), grade))
+    comps = {}
+    for idx in rng.sample(idxs, min(len(idxs), rng.randint(1, 4))):
+        p = random_poly(rng, chart, max_terms=3)
+        if chart.has_time:
+            p = p * ExpPoly.s_power(chart, rng.randint(-2, 2))
+        comps[idx] = p
+    return Multivector(chart, grade, comps)
+
+
+def test_even_self_bracket_equals_the_two_half_bracket():
+    """sn_bracket(L, L) takes one half of the odd-variable formula and
+    doubles it when L has even grade; a copy of L is a different object,
+    so bracketing L with it computes both halves."""
+    rng = random.Random(20243)
+    nonzero = {0: 0, 2: 0, 4: 0}
+    for chart, grade, n in ((XYZ, 2, 25), (XMU, 2, 25), (XT, 2, 25), (XT, 0, 5),
+                            (X3MU3T, 2, 15), (X3MU3T, 4, 30)):
+        for _ in range(n):
+            L = _dense_multivector(rng, chart, grade)
+            copy = Multivector(chart, grade, dict(L.comps))
+            assert copy is not L and copy == L
+            got = sn_bracket(L, L)
+            assert got == sn_bracket(L, copy)
+            nonzero[grade] += not got.is_zero
+    assert nonzero[2] >= 30 and nonzero[4] >= 2
+
+
+def test_bivector_self_bracket_makes_one_half_call(monkeypatch):
+    calls = []
+    half = exterior._add_odd_terms
+
+    def spy(*args):
+        calls.append(args)
+        half(*args)
+
+    monkeypatch.setattr(exterior, "_add_odd_terms", spy)
+    x, y = _v(XT, "x"), _v(XT, "y")
+    L = Multivector(XT, 2, {(0, 1): x * y, (0, 2): y * ExpPoly.s_power(XT, 1)})
+    assert not sn_bracket(L, L).is_zero
+    assert len(calls) == 1
+    sn_bracket(L, Multivector(XT, 2, dict(L.comps)))
+    assert len(calls) == 3
