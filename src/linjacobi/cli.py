@@ -11,16 +11,14 @@ import argparse
 import sys
 from typing import List, Optional, Tuple
 
-from .chart import ChartError
-from .ring import ChartMismatchError
 from .algebroid import AlgebroidError, verify_algebroid, verify_cocycle
 from .jacobi import check_C1, check_C2, jacobi_bracket, verify_jacobi
 from .correspondence import (AlgebroidWithCocycle, _recover, forward_report,
                              psi_forward, roundtrip_check)
 from .gallery import GalleryError, build_case
 from .report import Check, Report
-from .specfile import (SpecError, SpecFile, parse_expression, parse_spec,
-                       render_spec, spec_from_algebroid, spec_from_jacobi)
+from .specfile import (SpecFile, parse_expression, parse_spec, render_spec,
+                       spec_from_algebroid, spec_from_jacobi)
 
 MAX_RANK = 8
 MAX_DIM = 4
@@ -260,8 +258,7 @@ def run_command(argv: List[str]) -> Tuple[int, str]:
         return (0 if exc.code in (0, None) else 2), ""
     try:
         code, rep, extra = _COMMANDS[args.command](args)
-    except (SpecError, CapError, CommandFailure, ChartError, AlgebroidError,
-            ChartMismatchError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         return 2, f"error: {exc}"
     fmt = "json" if args.json else "text"
     body = emit_report(rep, fmt) if rep.checks else ""

@@ -137,9 +137,7 @@ def psi_forward(pair: AlgebroidWithCocycle,
     lam = linear_poisson_dual(A, dual)
     phi_v = vertical_lift(A, phi, dual)
     lam = lam + liouville(dual).wedge(phi_v)
-    J = JacobiStructure(dual, lam, -phi_v)
-    object.__setattr__(J, "_pair", pair)
-    return J
+    return JacobiStructure(dual, lam, -phi_v)
 
 
 def forward_report(pair: AlgebroidWithCocycle,
@@ -227,16 +225,10 @@ def psi_inverse(J: JacobiStructure,
     basic as the formula needs, so C1Violation and C2Violation are the
     only linearity rejections.  J is not checked to be Jacobi: building
     the recovered pair verifies it, and raises AlgebroidError when it is
-    not an algebroid with a cocycle.  When J is psi_forward(pair) and the
-    recovered algebroid (basis names included) and cocycle equal pair's,
-    that verified pair is returned as it is.
+    not an algebroid with a cocycle.
     """
     _check_linear(J)
-    A, phi = _recover(J, basis_names)
-    pair = J._pair
-    if pair is not None and pair.algebroid == A and pair.cocycle == phi:
-        return pair
-    return AlgebroidWithCocycle(A, phi)
+    return AlgebroidWithCocycle(*_recover(J, basis_names))
 
 
 def _check_linear(J: JacobiStructure) -> None:
@@ -293,34 +285,40 @@ def _recover(J: JacobiStructure, basis_names: Optional[Sequence[str]] = None
 
 def roundtrip_check(pair: AlgebroidWithCocycle) -> Report:
     """psi_inverse(psi_forward(pair)) == pair, componentwise exact, and
-    the forward map of the recovered pair equals the Jacobi structure."""
+    the forward map of the recovered pair equals the Jacobi structure.
+
+    Recovered data equal to pair are not verified again, and their forward
+    map is J by construction; only data that differ are built into an
+    AlgebroidWithCocycle (an AlgebroidError propagates) and mapped forward.
+    """
     rep = Report()
     J = psi_forward(pair)
     with rep.timed("inverse_after_forward") as bad:
         try:
-            # with the input's basis names, an exact inverse is the input
-            # pair itself and is not verified again
-            back = psi_inverse(J, pair.algebroid.basis_names)
+            _check_linear(J)
         except LinearityViolation as exc:
-            back = None
             failure = f"{exc}: {exc.residual}"
             bad.append(failure)
+            diffs = None
         else:
-            bad.extend(_pair_diff(pair, back))
+            A, phi = _recover(J, pair.algebroid.basis_names)
+            diffs = _pair_diff(pair, A, phi)
+            bad.extend(diffs)
     with rep.timed("forward_after_inverse") as bad:
-        if back is None:
+        if diffs is None:
             bad.append(failure)
-        else:
-            J2 = psi_forward(back, dual=J.chart)
+        elif diffs:
+            J2 = psi_forward(AlgebroidWithCocycle(A, phi), dual=J.chart)
             if J2 != J:
                 bad.append(f"lambda diff {(J2.lam - J.lam).render()}")
                 bad.append(f"E diff {(J2.e_field - J.e_field).render()}")
     return rep
 
 
-def _pair_diff(a: AlgebroidWithCocycle, b: AlgebroidWithCocycle) -> List[str]:
+def _pair_diff(pair: AlgebroidWithCocycle, B: AlgebroidPatch,
+               phi: Cocycle) -> List[str]:
     diffs = []
-    A, B = a.algebroid, b.algebroid
+    A = pair.algebroid
     if A.rank != B.rank:
         return [f"rank {A.rank} != {B.rank}"]
     for i in range(1, A.rank + 1):
@@ -335,7 +333,7 @@ def _pair_diff(a: AlgebroidWithCocycle, b: AlgebroidWithCocycle) -> List[str]:
             if not d.is_zero:
                 diffs.append(f"rho[{A.base_chart.names[l]},{i}]: {d.render()}")
     for i in range(A.rank):
-        d = a.cocycle.components[i] - b.cocycle.components[i].transfer(A.base_chart)
+        d = pair.cocycle.components[i] - phi.components[i].transfer(A.base_chart)
         if not d.is_zero:
             diffs.append(f"phi[{i+1}]: {d.render()}")
     return diffs

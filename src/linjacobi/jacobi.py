@@ -20,7 +20,7 @@ class ContactError(ValueError):
 class JacobiStructure:
     """A bivector/vector pair (lambda, e_field) on a common chart."""
 
-    __slots__ = ("chart", "lam", "e_field", "_brackets", "_pair")
+    __slots__ = ("chart", "lam", "e_field")
 
     def __init__(self, chart: Chart, lam: Multivector, e_field: Multivector):
         if lam.chart != chart or e_field.chart != chart:
@@ -30,10 +30,6 @@ class JacobiStructure:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "e_field", e_field)
-        # generator brackets computed so far, filled by _gen_bracket
-        object.__setattr__(self, "_brackets", {})
-        # the verified pair that psi_forward built this J from, if any
-        object.__setattr__(self, "_pair", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("JacobiStructure is immutable")
@@ -66,15 +62,17 @@ def jacobi_bracket(J: JacobiStructure, f: ExpPoly, g: ExpPoly) -> ExpPoly:
     return out
 
 
-def _gen_bracket(J: JacobiStructure, a: Optional[str], b: Optional[str]) -> ExpPoly:
-    """{a, b} for coordinate names a, b (None for the constant 1), computed
-    once per J and kept in J._brackets."""
-    key = (a, b)
-    if key not in J._brackets:
-        f, g = (ExpPoly.const(J.chart, 1) if n is None else ExpPoly.var(J.chart, n)
-                for n in key)
-        J._brackets[key] = jacobi_bracket(J, f, g)
-    return J._brackets[key]
+def _gen_bracket(J: JacobiStructure, a: str, b: Optional[str]) -> ExpPoly:
+    """{a, b} for coordinate names a, b (None for the constant 1), read off
+    the components: {x^a, x^b} = lambda^ab + x^a E^b - x^b E^a and
+    {x^a, 1} = -E^a."""
+    E = J.e_field
+    ia = J.chart.index(a)
+    if b is None:
+        return -E.component((ia,))
+    ib = J.chart.index(b)
+    return (J.lam.component((ia, ib)) + ExpPoly.var(J.chart, a) * E.component((ib,))
+            - ExpPoly.var(J.chart, b) * E.component((ia,)))
 
 
 def verify_jacobi(J: JacobiStructure) -> Report:

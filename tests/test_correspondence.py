@@ -13,6 +13,7 @@ from linjacobi import (AlgebroidError, AlgebroidPatch, AlgebroidWithCocycle,
                        liouville, poissonization, psi_forward, psi_inverse,
                        roundtrip_check, sn_bracket, verify_algebroid,
                        verify_jacobi, vertical_lift)
+from linjacobi.correspondence import _recover
 
 from conftest import base_chart, count_calls
 
@@ -136,42 +137,51 @@ def test_inverse_of_non_algebroid_bracket():
     assert not exc.value.algebroid_report.passed
 
 
-def test_inverse_of_forward_returns_the_verified_pair(monkeypatch):
+def test_inverse_of_forward_is_an_equal_verified_pair(monkeypatch):
     pair = aff1_pair(2)
     J = psi_forward(pair)
     calls = count_calls(monkeypatch, verify_algebroid)
-    assert psi_inverse(J) is pair
+    # roundtrip_check does not verify recovered data equal to its input
+    assert roundtrip_check(pair).passed
     assert calls == []
-    # other basis names, or a J that psi_forward did not build: a new pair,
-    # verified when built
+    # psi_inverse verifies what it recovers, and keeps other basis names
+    assert psi_inverse(J) == pair
+    assert len(calls) == 1
     named = psi_inverse(J, ["a", "b"])
-    assert named is not pair and named == pair
+    assert named == pair
     assert named.algebroid.basis_names == ("a", "b")
-    plain = psi_inverse(JacobiStructure(J.chart, J.lam, J.e_field))
-    assert plain is not pair and plain == pair
     assert len(calls) == 2
 
 
-def test_generator_brackets_computed_once_per_structure(monkeypatch):
-    """check_C1, check_C2, psi_inverse and forward_report on one J read
-    each generator bracket {a, b} from one jacobi_bracket call."""
+def test_generator_brackets_read_off_components(monkeypatch):
+    """check_C1, check_C2, psi_inverse and forward_report read the
+    generator brackets off lambda and E, not through jacobi_bracket."""
     pair = build_case("lcs_T*R2").pair
     J = psi_forward(pair)
     calls = count_calls(monkeypatch, jacobi_bracket)
     assert check_C1(J).passed and check_C2(J).passed
     assert psi_inverse(J) == pair
     assert forward_report(pair, J).passed
-    args = [(f, g) for _, f, g in calls]
-    assert len(args) == len(set(args))
-    # fibers mu1, mu2 and bases x1, x2: C1 reads 1 + 4 + 1 + 2 brackets, C2
-    # two more, and the inverse map and forward_report no new one
-    assert len(args) == 10
+    assert calls == []
 
 
 def test_roundtrip_inverts_once(monkeypatch):
-    calls = count_calls(monkeypatch, psi_inverse)
+    c1 = count_calls(monkeypatch, check_C1)
+    recovered = count_calls(monkeypatch, _recover)
     assert roundtrip_check(aff1_pair(2)).passed
-    assert len(calls) == 1
+    assert len(c1) == 1 and len(recovered) == 1
+
+
+def test_roundtrip_maps_differing_data_forward(monkeypatch):
+    """Recovered data that differ from the input fail both checks; the
+    second maps them forward and compares with J."""
+    other = aff1_pair(3)
+    monkeypatch.setattr("linjacobi.correspondence._recover",
+                        lambda J, basis_names=None: (other.algebroid, other.cocycle))
+    rep = roundtrip_check(aff1_pair(2))
+    assert rep.check("inverse_after_forward").residual == "phi[1]: -1"
+    assert rep.check("forward_after_inverse").residual == (
+        "lambda diff -1*mu2 d/dmu1^d/dmu2; E diff -1 d/dmu1")
 
 
 def test_roundtrip_report_shape():

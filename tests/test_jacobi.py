@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linjacobi import (Chart, ContactError, DiffForm, ExpPoly, JacobiStructure,
                        Multivector, build_case, check_C1, check_C2,
                        contact_to_jacobi, exterior_d, interior, jacobi_bracket,
                        pairing, poissonization, sharp, verify_jacobi)
+from linjacobi.jacobi import _gen_bracket
 
 from conftest import base_chart, random_poly
 
@@ -64,6 +66,45 @@ def test_bracket_with_one_is_minus_e():
     for _ in range(20):
         f = random_poly(rng, J.chart)
         assert jacobi_bracket(J, f, one) == -J.e_field.apply(f)
+
+
+# base, fiber and time coordinates; the time charts carry e^{kt} terms
+BRACKET_CHARTS = [
+    Chart((("x", "base"), ("y", "base"), ("mu", "fiber"))),
+    Chart((("mu1", "fiber"), ("mu2", "fiber"), ("mu3", "fiber"))),
+    Chart((("x", "base"), ("mu", "fiber"), ("t", "time"))),
+    Chart((("x", "base"), ("y", "base"), ("t", "time"), ("nu", "fiber"))),
+]
+
+
+@st.composite
+def any_structure(draw):
+    """A bivector and a vector field on one chart, not necessarily Jacobi."""
+    chart = draw(st.sampled_from(BRACKET_CHARTS))
+    n = chart.dim
+    ks = st.integers(-2, 2) if chart.has_time else st.just(0)
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), ks)
+    poly = st.dictionaries(term, st.integers(-3, 3), max_size=3).map(
+        lambda terms: ExpPoly(chart, terms))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lam = draw(st.dictionaries(st.sampled_from(pairs), poly, max_size=3))
+    e = draw(st.dictionaries(st.tuples(st.integers(0, n - 1)), poly, max_size=2))
+    return JacobiStructure(chart, Multivector(chart, 2, lam),
+                           Multivector(chart, 1, e))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(any_structure())
+def test_generator_brackets_match_the_bracket_of_functions(J):
+    """{x^a, x^b} = lambda^ab + x^a E^b - x^b E^a and {x^a, 1} = -E^a, read
+    off the components, agree with the bracket of the two functions."""
+    one = ExpPoly.const(J.chart, 1)
+    for a in J.chart.names:
+        xa = ExpPoly.var(J.chart, a)
+        assert _gen_bracket(J, a, None) == jacobi_bracket(J, xa, one)
+        for b in J.chart.names:
+            xb = ExpPoly.var(J.chart, b)
+            assert _gen_bracket(J, a, b) == jacobi_bracket(J, xa, xb)
 
 
 def test_verify_jacobi_pass_and_fail():
