@@ -1,21 +1,27 @@
 """Command-line surface: parse spec files, run verification commands, and
 emit reports as aligned text or JSON.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 parse or
-validation error.
+`run_command` is the one pipeline. It reads and parses the spec file,
+enforces the caps, checks that the sections the command needs are present,
+runs the command and reads the exit code off its report; `emit_report`
+zeroes every `ms` so that identical inputs emit identical bytes.
+
+Exit codes: 0 all checks passed (a command without checks exits 0), 1 at
+least one check failed, 2 parse or validation error, including a missing
+section.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import AlgebroidError, verify_algebroid, verify_cocycle
 from .jacobi import check_C1, check_C2, jacobi_bracket, verify_jacobi
 from .correspondence import (AlgebroidWithCocycle, _recover, forward_report,
                              psi_forward, roundtrip_check)
-from .gallery import GalleryError, build_case
+from .gallery import build_case
 from .report import Check, Report
 from .specfile import (SpecFile, parse_expression, parse_spec, render_spec,
                        spec_from_algebroid, spec_from_jacobi)
@@ -33,16 +39,9 @@ class CommandFailure(ValueError):
     """A validation problem that is not a check failure (exit code 2)."""
 
 
-def _strip_ms(rep: Report) -> Report:
-    """Zero the timing field so identical inputs emit identical bytes."""
-    out = Report()
-    for c in rep.checks:
-        out.checks.append(Check(c.name, c.verdict, c.residual, 0.0))
-    return out
-
-
 def emit_report(rep: Report, fmt: str) -> str:
-    rep = _strip_ms(rep)
+    """Render with every ms zeroed so identical inputs emit identical bytes."""
+    rep = Report([Check(c.name, c.verdict, c.residual) for c in rep.checks])
     return rep.to_json() if fmt == "json" else rep.to_text()
 
 
@@ -65,7 +64,8 @@ def _enforce_caps(spec: SpecFile) -> None:
                            f"{MAX_DEGREE} (use --no-caps to override)")
 
 
-def _load(path: str, no_caps: bool) -> SpecFile:
+def _load(path: str, no_caps: bool, sections: Sequence[str]) -> SpecFile:
+    """Read, parse and cap the spec file, then require each of `sections`."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -74,14 +74,18 @@ def _load(path: str, no_caps: bool) -> SpecFile:
     spec = parse_spec(raw)
     if not no_caps:
         _enforce_caps(spec)
+    present = {"algebroid": spec.has_algebroid, "jacobi": spec.has_jacobi,
+               "cocycle": spec.cocycle is not None}
+    for name in sections:
+        if not present[name]:
+            raise CommandFailure(f"spec file has no {name} section")
     return spec
 
 
-def _need_pair(spec: SpecFile) -> Tuple[Optional[AlgebroidWithCocycle], Report]:
+def _verified_pair(spec: SpecFile
+                   ) -> Tuple[Optional[AlgebroidWithCocycle], Report]:
     """The spec's verified pair (None when verification fails) and its
     verification report."""
-    if not spec.has_algebroid:
-        raise CommandFailure("spec file has no algebroid section")
     A = spec.to_algebroid()
     phi = spec.to_cocycle() if spec.cocycle is not None else None
     try:
@@ -105,110 +109,86 @@ def _aggregate(name: str, rep: Report) -> Check:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: (spec, args) -> (report, text printed after the report)
 # ---------------------------------------------------------------------------
 
-def _cmd_verify_algebroid(args) -> Tuple[int, Report, str]:
-    spec = _load(args.file, args.no_caps)
-    if not spec.has_algebroid:
-        raise CommandFailure("spec file has no algebroid section")
-    rep = verify_algebroid(spec.to_algebroid())
-    return (0 if rep.passed else 1), rep, ""
+def _cmd_verify_algebroid(spec, args) -> Tuple[Report, str]:
+    return verify_algebroid(spec.to_algebroid()), ""
 
 
-def _cmd_verify_cocycle(args) -> Tuple[int, Report, str]:
-    spec = _load(args.file, args.no_caps)
-    if not spec.has_algebroid:
-        raise CommandFailure("spec file has no algebroid section")
-    if spec.cocycle is None:
-        raise CommandFailure("spec file has no cocycle section")
+def _cmd_verify_cocycle(spec, args) -> Tuple[Report, str]:
     A = spec.to_algebroid()
     rep = verify_algebroid(A)
     rep.extend(verify_cocycle(A, spec.to_cocycle()))
-    return (0 if rep.passed else 1), rep, ""
+    return rep, ""
 
 
-def _cmd_verify_jacobi(args) -> Tuple[int, Report, str]:
-    spec = _load(args.file, args.no_caps)
-    if not spec.has_jacobi:
-        raise CommandFailure("spec file has no jacobi section")
-    rep = verify_jacobi(spec.to_jacobi())
-    return (0 if rep.passed else 1), rep, ""
+def _cmd_verify_jacobi(spec, args) -> Tuple[Report, str]:
+    return verify_jacobi(spec.to_jacobi()), ""
 
 
-def _cmd_forward(args) -> Tuple[int, Report, str]:
-    spec = _load(args.file, args.no_caps)
-    pair, rep = _need_pair(spec)
+def _cmd_forward(spec, args) -> Tuple[Report, str]:
+    pair, rep = _verified_pair(spec)
     if pair is None:
-        return 1, rep, ""
+        return rep, ""
     J = psi_forward(pair)
     rep.extend(forward_report(pair, J))
-    return (0 if rep.passed else 1), rep, render_spec(spec_from_jacobi(J))
+    return rep, render_spec(spec_from_jacobi(J))
 
 
-def _cmd_invert(args) -> Tuple[int, Report, str]:
-    spec = _load(args.file, args.no_caps)
-    if not spec.has_jacobi:
-        raise CommandFailure("spec file has no jacobi section")
+def _cmd_invert(spec, args) -> Tuple[Report, str]:
     J = spec.to_jacobi()
     rep = Report()
     rep.extend(verify_jacobi(J), "jacobi.")
     rep.checks.append(_aggregate("C1", check_C1(J)))
     rep.checks.append(_aggregate("C2", check_C2(J)))
     if not rep.passed:
-        return 1, rep, ""
+        return rep, ""
     # C1 and C2 passed above; the recovered pair is verified when built
     pair = AlgebroidWithCocycle(*_recover(J))
     rep.extend(pair.algebroid_report, "recovered.")
-    text = render_spec(spec_from_algebroid(pair.algebroid, pair.cocycle))
-    return 0, rep, text
+    return rep, render_spec(spec_from_algebroid(pair.algebroid, pair.cocycle))
 
 
-def _cmd_roundtrip(args) -> Tuple[int, Report, str]:
-    spec = _load(args.file, args.no_caps)
-    pair, rep = _need_pair(spec)
-    if pair is None:
-        return 1, rep, ""
-    rep.extend(roundtrip_check(pair))
-    return (0 if rep.passed else 1), rep, ""
+def _cmd_roundtrip(spec, args) -> Tuple[Report, str]:
+    pair, rep = _verified_pair(spec)
+    if pair is not None:
+        rep.extend(roundtrip_check(pair))
+    return rep, ""
 
 
-def _cmd_bracket(args) -> Tuple[int, Report, str]:
-    spec = _load(args.file, args.no_caps)
-    if not spec.has_jacobi:
-        raise CommandFailure("spec file has no jacobi section")
+def _cmd_bracket(spec, args) -> Tuple[Report, str]:
     J = spec.to_jacobi()
     f = parse_expression(args.f, J.chart)
     g = parse_expression(args.g, J.chart)
-    value = jacobi_bracket(J, f, g)
-    return 0, Report(), value.render()
+    return Report(), jacobi_bracket(J, f, g).render()
 
 
-def _cmd_gallery(args) -> Tuple[int, Report, str]:
-    try:
-        case = build_case(args.name)
-    except GalleryError as exc:
-        raise CommandFailure(str(exc))
-    if args.spec:
-        if case.pair is not None:
-            text = render_spec(spec_from_algebroid(case.pair.algebroid,
-                                                   case.pair.cocycle))
-        else:
-            text = render_spec(spec_from_jacobi(case.jacobi))
-        return 0, Report(), text
-    rep = case.run()
-    return (0 if rep.passed else 1), rep, ""
+def _cmd_gallery(spec, args) -> Tuple[Report, str]:
+    case = build_case(args.name)
+    if not args.spec:
+        return case.run(), ""
+    if case.pair is not None:
+        return Report(), render_spec(spec_from_algebroid(case.pair.algebroid,
+                                                         case.pair.cocycle))
+    return Report(), render_spec(spec_from_jacobi(case.jacobi))
 
 
+# name -> (command, the sections its spec file needs in check order, or None
+# for a command that reads no spec file, extra (flag, add_argument keywords))
 _COMMANDS = {
-    "verify-algebroid": _cmd_verify_algebroid,
-    "verify-cocycle": _cmd_verify_cocycle,
-    "verify-jacobi": _cmd_verify_jacobi,
-    "forward": _cmd_forward,
-    "invert": _cmd_invert,
-    "roundtrip": _cmd_roundtrip,
-    "bracket": _cmd_bracket,
-    "gallery": _cmd_gallery,
+    "verify-algebroid": (_cmd_verify_algebroid, ("algebroid",), ()),
+    "verify-cocycle": (_cmd_verify_cocycle, ("algebroid", "cocycle"), ()),
+    "verify-jacobi": (_cmd_verify_jacobi, ("jacobi",), ()),
+    "forward": (_cmd_forward, ("algebroid",), ()),
+    "invert": (_cmd_invert, ("jacobi",), ()),
+    "roundtrip": (_cmd_roundtrip, ("algebroid",), ()),
+    "bracket": (_cmd_bracket, ("jacobi",), (
+        ("--f", dict(required=True, metavar="EXPR")),
+        ("--g", dict(required=True, metavar="EXPR")))),
+    "gallery": (_cmd_gallery, None, (
+        ("--spec", dict(action="store_true", help="print the case as a spec "
+                        "file instead of running it")),)),
 }
 
 
@@ -217,30 +197,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="linjacobi",
         description="Exact checks for Lie algebroid / linear Jacobi data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, sections, extra) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("name" if sections is None else "file")
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
         p.add_argument("--out", metavar="FILE",
                        help="write the report to FILE instead of stdout")
         p.add_argument("--no-caps", action="store_true",
                        help="lift the desk-scale size caps")
-
-    for name in ("verify-algebroid", "verify-cocycle", "verify-jacobi",
-                 "forward", "invert", "roundtrip"):
-        p = sub.add_parser(name)
-        p.add_argument("file")
-        common(p)
-    p = sub.add_parser("bracket")
-    p.add_argument("file")
-    p.add_argument("--f", required=True, metavar="EXPR")
-    p.add_argument("--g", required=True, metavar="EXPR")
-    common(p)
-    p = sub.add_parser("gallery")
-    p.add_argument("name")
-    p.add_argument("--spec", action="store_true",
-                   help="print the case as a spec file instead of running it")
-    common(p)
     return parser
 
 
@@ -256,12 +223,14 @@ def run_command(argv: List[str]) -> Tuple[int, str]:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return (0 if exc.code in (0, None) else 2), ""
+    command, sections, _ = _COMMANDS[args.command]
     try:
-        code, rep, extra = _COMMANDS[args.command](args)
+        spec = (None if sections is None
+                else _load(args.file, args.no_caps, sections))
+        rep, extra = command(spec, args)
     except (ValueError, RecursionError) as exc:
         return 2, f"error: {exc}"
-    fmt = "json" if args.json else "text"
-    body = emit_report(rep, fmt) if rep.checks else ""
+    body = emit_report(rep, "json" if args.json else "text") if rep.checks else ""
     if args.out and body:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -269,8 +238,7 @@ def run_command(argv: List[str]) -> Tuple[int, str]:
         except OSError as exc:
             return 2, f"error: cannot write {args.out}: {exc}"
         body = ""
-    parts = [p for p in (body, extra) if p]
-    return code, "\n\n".join(parts)
+    return (0 if rep.passed else 1), "\n\n".join(p for p in (body, extra) if p)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

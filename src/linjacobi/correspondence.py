@@ -324,16 +324,16 @@ def _pair_diff(pair: AlgebroidWithCocycle, B: AlgebroidPatch,
     for i in range(1, A.rank + 1):
         for j in range(i + 1, A.rank + 1):
             for k in range(1, A.rank + 1):
-                d = A.c(i, j, k) - B.c(i, j, k).transfer(A.base_chart)
+                d = A.c(i, j, k) - B.c(i, j, k)
                 if not d.is_zero:
                     diffs.append(f"c[{i},{j}]^{k}: {d.render()}")
     for l in range(A.base_chart.dim):
         for i in range(1, A.rank + 1):
-            d = A.rho(l, i) - B.rho(l, i).transfer(A.base_chart)
+            d = A.rho(l, i) - B.rho(l, i)
             if not d.is_zero:
                 diffs.append(f"rho[{A.base_chart.names[l]},{i}]: {d.render()}")
     for i in range(A.rank):
-        d = pair.cocycle.components[i] - phi.components[i].transfer(A.base_chart)
+        d = pair.cocycle.components[i] - phi.components[i]
         if not d.is_zero:
             diffs.append(f"phi[{i+1}]: {d.render()}")
     return diffs

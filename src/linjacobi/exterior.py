@@ -203,14 +203,12 @@ class GradedSkew:
 
     # -- transfer & rendering ------------------------------------------
 
-    def transfer(self, chart: Chart, rename: Optional[Mapping[str, str]] = None):
-        """Move to another chart, matching coordinates by (renamed) name."""
-        rename = rename or {}
+    def transfer(self, chart: Chart):
+        """Move to another chart, matching coordinates by name."""
         imap = {}
         for i, (name, _) in enumerate(self.chart.coords):
-            tgt = rename.get(name, name)
-            if chart.has(tgt):
-                imap[i] = chart.index(tgt)
+            if chart.has(name):
+                imap[i] = chart.index(name)
         comps: Dict[Index, ExpPoly] = {}
         for idx, p in self.comps.items():
             try:
@@ -219,7 +217,7 @@ class GradedSkew:
                 missing = [self.chart.names[i] for i in idx if i not in imap]
                 raise ChartMismatchError(
                     f"direction(s) {missing} have no image in {chart}")
-            comps[new_idx] = p.transfer(chart, rename)
+            comps[new_idx] = p.transfer(chart)
         return type(self)(chart, self.grade, comps)
 
     def _basis_symbol(self, i: int) -> str:

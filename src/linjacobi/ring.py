@@ -291,21 +291,18 @@ class ExpPoly:
 
     # -- chart transfer ------------------------------------------------
 
-    def transfer(self, chart: Chart,
-                 rename: Optional[Mapping[str, str]] = None) -> "ExpPoly":
+    def transfer(self, chart: Chart) -> "ExpPoly":
         """Reinterpret on another chart, mapping variables by name.
 
         Every variable actually appearing must map to a coordinate of the
         target chart; s-exponents require the target to have a time
         coordinate as well.
         """
-        rename = rename or {}
         src = self.chart
         col: Dict[int, int] = {}
         for i, (name, _) in enumerate(src.coords):
-            tgt_name = rename.get(name, name)
-            if chart.has(tgt_name):
-                col[i] = chart.index(tgt_name)
+            if chart.has(name):
+                col[i] = chart.index(name)
         terms: Dict[Key, Fraction] = {}
         for (exps, k), c in self.terms.items():
             new = [0] * chart.dim

@@ -288,3 +288,88 @@ def test_overlong_integer_literal_fails_at_its_token(tmp_path, text, at):
     p.write_text(text)
     assert run_command(["verify-cocycle", str(p)]) == (
         2, f"error: {at}: integer literal of 5000 digits is too long")
+
+
+NOT_INVARIANT = """\
+patch
+  x fiber
+  y fiber
+end
+
+jacobi
+  lambda = (1*x)*d/dx^d/dy
+  efield = (1)*d/dx
+end
+"""
+
+ALGEBROID_ONLY = "algebroid\n  rank 2\n  c[1,2] = (1)*e_2\nend\n"
+
+
+def _file_args(name, path, f="x", g="y"):
+    return [name, path] + (["--f", f, "--g", g] if name == "bracket" else [])
+
+
+def test_exit_code_is_read_off_the_report(tmp_path):
+    """For every command the code is 0 exactly when the --json summary
+    counts no failure; a command without checks exits 0."""
+    def spec(name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        return str(p)
+
+    aff1, bad_pair = spec("aff1.spec", AFF1), spec("bad.spec", NOT_AN_ALGEBROID)
+    _, forward = run_command(["forward", aff1])
+    jac = spec("jac.spec", forward.split("\n\n", 1)[1] + "\n")
+    bad_jac = spec("bad_jac.spec", NOT_INVARIANT)
+    cases = {
+        "verify-algebroid": [aff1, bad_pair],
+        "verify-cocycle": [aff1, bad_pair],
+        "verify-jacobi": [jac, bad_jac],
+        "forward": [aff1, bad_pair],
+        "invert": [jac, bad_jac],
+        "roundtrip": [aff1, bad_pair],
+        "bracket": [jac],
+        "gallery": ["so3", "remark_counterexample"],
+    }
+    assert set(cases) == set(cli._COMMANDS)
+    codes = []
+    for name, inputs in cases.items():
+        for arg in inputs:
+            code, out = run_command(_file_args(name, arg, "mu1", "mu2")
+                                    + ["--json"])
+            if name == "bracket":
+                assert (code, out) == (0, "1*mu2")
+                continue
+            summary = json.JSONDecoder().raw_decode(out)[0]["summary"]
+            assert code == (0 if summary["fail"] == 0 else 1), (name, arg)
+            codes.append(code)
+    assert codes == [0, 1] * 7
+    assert run_command(["gallery", "remark_counterexample", "--spec"])[0] == 0
+
+
+@pytest.mark.parametrize("text, missing", [
+    (ALGEBROID_ONLY, {"verify-cocycle": "cocycle", "verify-jacobi": "jacobi",
+                      "invert": "jacobi", "bracket": "jacobi"}),
+    (REMARK, {"verify-algebroid": "algebroid",
+              "verify-cocycle": "algebroid", "forward": "algebroid",
+              "roundtrip": "algebroid"}),
+], ids=["algebroid-only", "jacobi-only"])
+def test_missing_section_exits_two(tmp_path, text, missing):
+    p = tmp_path / "part.spec"
+    p.write_text(text)
+    for name in [n for n in cli._COMMANDS if n != "gallery"]:
+        code, out = run_command(_file_args(name, str(p)))
+        if name in missing:
+            assert (code, out) == (
+                2, f"error: spec file has no {missing[name]} section"), name
+        else:
+            assert code in (0, 1), (name, out)
+
+
+def test_missing_section_is_reported_before_construction(tmp_path):
+    p = tmp_path / "basis.spec"
+    p.write_text("algebroid\n  rank 2\n  basis a b c\nend\n")
+    assert run_command(["verify-cocycle", str(p)]) == (
+        2, "error: spec file has no cocycle section")
+    assert run_command(["verify-algebroid", str(p)]) == (
+        2, "error: need rank distinct basis names")
