@@ -8,8 +8,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .chart import Chart
 from .ring import ExpPoly, Scalar
-from .exterior import (DiffForm, GradeError, Multivector, exterior_d, interior,
-                       lie_derivative, pairing, sharp, sn_bracket)
+from .exterior import GradeError, Multivector, sn_bracket
 from .report import Report
 
 
@@ -386,6 +385,23 @@ def verify_cocycle(A: AlgebroidPatch, phi: Cocycle) -> Report:
 # Constructions
 # ---------------------------------------------------------------------------
 
+def _bivector_data(L: Multivector):
+    """Structure functions c_ij^k = d_k L^ij and anchor rho^l_i = L^il of
+    the cotangent algebroid of L on the basis dx^i, as dicts keyed by
+    AlgebroidPatch's 1-based basis indices."""
+    names = L.chart.names
+    structure: Dict[Tuple[int, int, int], ExpPoly] = {}
+    anchor: Dict[Tuple[int, int], ExpPoly] = {}
+    for (i, j), p in L.comps.items():
+        for k, name in enumerate(names):
+            dp = p.partial(name)
+            if dp.terms:
+                structure[(i + 1, j + 1, k + 1)] = dp
+        anchor[(j, i + 1)] = p
+        anchor[(i, j + 1)] = -p
+    return structure, anchor
+
+
 def cotangent_algebroid(L: Multivector) -> AlgebroidPatch:
     """The Lie algebroid T*M of a Poisson bivector: basis dx^i,
     c_ij^k = d(L^ij)/dx^k and anchor rho(dx^i) = sharp(L, dx^i)."""
@@ -393,75 +409,47 @@ def cotangent_algebroid(L: Multivector) -> AlgebroidPatch:
         raise GradeError("need a bivector")
     if not sn_bracket(L, L).is_zero:
         raise AlgebroidError("bivector is not Poisson: [L,L] != 0")
-    chart = L.chart
-    m = chart.dim
-    structure: Dict[Tuple[int, int, int], ExpPoly] = {}
-    anchor: Dict[Tuple[int, int], ExpPoly] = {}
-    for (i, j), p in L.comps.items():
-        for k in range(m):
-            dp = p.partial(chart.names[k])
-            if not dp.is_zero:
-                structure[(i + 1, j + 1, k + 1)] = dp
-    for i in range(m):
-        sh = sharp(L, DiffForm.basis(chart, chart.names[i]))
-        for (l,), p in sh.comps.items():
-            anchor[(l, i + 1)] = p
-    return AlgebroidPatch(chart, m, structure, anchor,
-                          basis_names=[f"dx_{n}" for n in chart.names])
+    structure, anchor = _bivector_data(L)
+    return AlgebroidPatch(L.chart, L.chart.dim, structure, anchor,
+                          basis_names=[f"dx_{n}" for n in L.chart.names])
 
 
 def jacobi_algebroid(L: Multivector, E: Multivector) -> AlgebroidPatch:
     """The Lie algebroid T*M x R of a Jacobi pair (L, E): rank dim(M)+1
-    with basis {(dx^i, 0)} + {(0, 1)}, bracket
+    with basis {(dx^i, 0)} + {u = (0, 1)}, bracket
 
         [(a,f),(b,g)] = (L_{#a} b - L_{#b} a - d(L(a,b))
                            + f L_E b - g L_E a - i_E(a ^ b),
                          L(b,a) + #a(g) - #b(f) + f E(g) - g E(f)),
 
-    evaluated on basis pairs, and anchor #(a,f) = #_L(a) + f E."""
+    and anchor #(a,f) = #_L(a) + f E.  On the basis, with u the basis
+    index dim(M)+1, this is the cotangent algebroid's c_ij^k = d_k L^ij
+    and rho^l_i = L^il together with
+
+        c_ij^k gains -E^i delta_jk + E^j delta_ik,
+        c_ij^u = -L^ij,   c_iu^k = -d_k E^i,   #u = E."""
     from .jacobi import JacobiStructure, verify_jacobi  # cycle-free at runtime
 
     if L.grade != 2 or E.grade != 1:
         raise GradeError("need a bivector and a vector field")
     if not verify_jacobi(JacobiStructure(L.chart, L, E)).passed:
         raise AlgebroidError("input pair is not a Jacobi structure")
-    chart = L.chart
-    m = chart.dim
-    n = m + 1
-    one = ExpPoly.const(chart, 1)
-    zero_form = DiffForm.zero(chart, 1)
-
-    def basis_pair(i: int) -> Tuple[DiffForm, ExpPoly]:
-        if i <= m:
-            return DiffForm.basis(chart, chart.names[i - 1]), ExpPoly.zero(chart)
-        return zero_form, one
-
-    def pair_bracket(a: DiffForm, f: ExpPoly, b: DiffForm, g: ExpPoly):
-        sa, sb = sharp(L, a), sharp(L, b)
-        first = lie_derivative(sa, b) - lie_derivative(sb, a)
-        first = first - exterior_d(pairing(L, a, b))
-        first = first + f * lie_derivative(E, b) - g * lie_derivative(E, a)
-        iE = interior(E, a.wedge(b))
-        first = first - (DiffForm.from_function(iE) if isinstance(iE, ExpPoly) else iE)
-        second = pairing(L, b, a) + sa.apply(g) - sb.apply(f)
-        second = second + f * E.apply(g) - g * E.apply(f)
-        return first, second
-
-    structure: Dict[Tuple[int, int, int], ExpPoly] = {}
-    anchor: Dict[Tuple[int, int], ExpPoly] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a, f = basis_pair(i)
-            b, g = basis_pair(j)
-            first, second = pair_bracket(a, f, b, g)
-            for (l,), p in first.comps.items():
-                structure[(i, j, l + 1)] = p
-            if not second.is_zero:
-                structure[(i, j, n)] = structure.get((i, j, n), ExpPoly.zero(chart)) + second
-    for i in range(1, n + 1):
-        a, f = basis_pair(i)
-        vec = sharp(L, a) + f * E
-        for (l,), p in vec.comps.items():
-            anchor[(l, i)] = p
-    names = [f"dx_{nme}" for nme in chart.names] + ["unit"]
-    return AlgebroidPatch(chart, n, structure, anchor, basis_names=names)
+    names = L.chart.names
+    u = len(names) + 1
+    structure, anchor = _bivector_data(L)
+    for (i, j), p in L.comps.items():
+        structure[(i + 1, j + 1, u)] = -p
+    for (i,), e in E.comps.items():
+        anchor[(i, u)] = e
+        for k, name in enumerate(names):
+            de = e.partial(name)
+            if de.terms:
+                structure[(i + 1, u, k + 1)] = -de
+            if k != i:
+                # -E^i delta_jk at (i, j=k, k); AlgebroidPatch adds a key
+                # with i > j to (j, i, k) negated, which is +E^j delta_ik
+                key = (i + 1, k + 1, k + 1)
+                q0 = structure.get(key)
+                structure[key] = -e if q0 is None else q0 - e
+    return AlgebroidPatch(L.chart, u, structure, anchor,
+                          basis_names=[f"dx_{n}" for n in names] + ["unit"])

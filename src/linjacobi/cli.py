@@ -14,6 +14,8 @@ section.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -215,14 +217,18 @@ _PARSER: Optional[argparse.ArgumentParser] = None
 
 
 def run_command(argv: List[str]) -> Tuple[int, str]:
-    """Dispatch one CLI invocation; returns (exit code, output text)."""
+    """Dispatch one CLI invocation; returns (exit code, output text).
+    Nothing is written to stdout or stderr: for `--help` and for usage
+    errors the output is argparse's text without its final newline."""
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
+    said = io.StringIO()  # argparse's help and usage text
     try:
-        args = _PARSER.parse_args(argv)
+        with contextlib.redirect_stdout(said), contextlib.redirect_stderr(said):
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
-        return (0 if exc.code in (0, None) else 2), ""
+        return (0 if exc.code in (0, None) else 2), said.getvalue().removesuffix("\n")
     command, sections, _ = _COMMANDS[args.command]
     try:
         spec = (None if sections is None

@@ -48,7 +48,6 @@ def _sort_index(idx: Iterable[int]) -> Tuple[Optional[Index], int]:
 class GradedSkew:
     """Shared machinery of Multivector and DiffForm."""
 
-    kind = "graded"
     __slots__ = ("chart", "grade", "comps")
 
     def __init__(self, chart: Chart, grade: int,
@@ -241,7 +240,6 @@ class GradedSkew:
 
 
 class Multivector(GradedSkew):
-    kind = "multivector"
     __slots__ = ()
 
     def _basis_symbol(self, i: int) -> str:
@@ -258,7 +256,6 @@ class Multivector(GradedSkew):
 
 
 class DiffForm(GradedSkew):
-    kind = "form"
     __slots__ = ()
 
     def _basis_symbol(self, i: int) -> str:
@@ -356,44 +353,36 @@ def exterior_d(w: Union[DiffForm, ExpPoly]) -> DiffForm:
     return DiffForm._make(chart, w.grade + 1, comps)
 
 
-def _interior_vector(X: Multivector, w: DiffForm) -> DiffForm:
-    """Single contraction into the first slot: (i_X w)(...) = w(X, ...)."""
-    chart = w.chart
-    comps: Dict[Index, ExpPoly] = {}
-    for idx, p in w.comps.items():
-        for pos, l in enumerate(idx):
-            xl = X.comps.get((l,))
-            if xl is None:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            q = xl * p
-            if pos % 2 == 1:
-                q = -q
-            comps[rest] = comps.get(rest, ExpPoly.zero(chart)) + q
-    return DiffForm(chart, w.grade - 1, comps)
-
-
 def interior(P: Multivector, w: DiffForm) -> Union[DiffForm, ExpPoly]:
     """Full contraction of a p-vector into a k-form, p <= k.
 
-    Nested so that interior(d/dx ^ d/dy, dx ^ dy) = 1; a degree-0 result is
-    returned as a bare ExpPoly.
+    The directions of each component of P, in sorted order, are removed
+    one by one from the index of each component of w, each removal at
+    position pos signed (-1)^pos; this nests single contractions so that
+    interior(d/dx ^ d/dy, dx ^ dy) = 1, and pairing(L, a, b) =
+    interior(L, a ^ b).  A degree-0 result is returned as a bare ExpPoly.
     """
     if P.chart != w.chart:
         raise ChartMismatchError("operands on different charts")
     if P.grade > w.grade:
         raise GradeError(f"grade {P.grade} exceeds form degree {w.grade}")
-    chart = w.chart
-    out = DiffForm.zero(chart, w.grade - P.grade)
-    one = ExpPoly.const(chart, 1)
-    for idx, p in P.comps.items():
-        cur = w
-        for l in idx:
-            cur = _interior_vector(Multivector(chart, 1, {(l,): one}), cur)
-        out = out + p * cur
-    if out.grade == 0:
-        return out.as_function()
-    return out
+    comps: Dict[Index, ExpPoly] = {}
+    for pidx, p in P.comps.items():
+        for widx, q in w.comps.items():
+            rest, sign = widx, 1
+            for l in pidx:
+                if l not in rest:
+                    break
+                pos = rest.index(l)
+                rest = rest[:pos] + rest[pos + 1:]
+                sign = -sign if pos % 2 else sign
+            else:
+                r = p * q if sign == 1 else -(p * q)
+                r0 = comps.get(rest)
+                comps[rest] = r if r0 is None else r0 + r
+    if P.grade == w.grade:
+        return comps.get((), ExpPoly.zero(w.chart))
+    return DiffForm._make(w.chart, w.grade - P.grade, comps)
 
 
 def lie_derivative(X: Multivector, T: Union[Multivector, DiffForm]):
@@ -406,12 +395,10 @@ def lie_derivative(X: Multivector, T: Union[Multivector, DiffForm]):
         raise GradeError("Lie derivative needs a vector field")
     if isinstance(T, Multivector):
         return sn_bracket(X, T)
-    a = exterior_d(T)
-    ia = interior(X, a)
-    if isinstance(ia, ExpPoly):
-        ia = DiffForm.from_function(ia)
-    it = interior(X, T) if T.grade >= 1 else ExpPoly.zero(T.chart)
-    return ia + exterior_d(it)
+    ia = interior(X, exterior_d(T))
+    if T.grade == 0:
+        return DiffForm.from_function(ia)
+    return ia + exterior_d(interior(X, T))
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +406,11 @@ def lie_derivative(X: Multivector, T: Union[Multivector, DiffForm]):
 # ---------------------------------------------------------------------------
 
 def pairing(L: Multivector, a: DiffForm, b: DiffForm) -> ExpPoly:
-    """L(a, b) for a bivector L and 1-forms a, b (antisymmetric in a, b)."""
+    """L(a, b) = interior(L, a ^ b) for a bivector L and 1-forms a, b
+    (antisymmetric in a, b)."""
     if L.grade != 2 or a.grade != 1 or b.grade != 1:
         raise GradeError("pairing needs a bivector and two 1-forms")
-    chart = L.chart
-    out = ExpPoly.zero(chart)
-    for (i, j), p in L.comps.items():
-        ai = a.comps.get((i,))
-        aj = a.comps.get((j,))
-        bi = b.comps.get((i,))
-        bj = b.comps.get((j,))
-        if ai is not None and bj is not None:
-            out = out + p * ai * bj
-        if aj is not None and bi is not None:
-            out = out - p * aj * bi
-    return out
+    return interior(L, a.wedge(b))
 
 
 def sharp(L: Multivector, a: DiffForm) -> Multivector:

@@ -79,32 +79,21 @@ def complete_vertical_lift(T: Multivector) -> Tuple[Multivector, Multivector]:
             out = out + ExpPoly.var(tangent, n + "dot") * up(p.partial(n))
         return out
 
-    if T.grade == 1:
-        vert = Multivector(tangent, 1,
-                           {(m + i,): up(p) for (i,), p in T.comps.items()})
-        comps: Dict[Tuple[int, ...], ExpPoly] = {}
-        for (i,), p in T.comps.items():
-            comps[(i,)] = up(p)
-        for (i,), p in T.comps.items():
-            q = fiber_stretch(p)
-            if not q.is_zero:
-                comps[(m + i,)] = comps.get((m + i,), ExpPoly.zero(tangent)) + q
-        return Multivector(tangent, 1, comps), vert
-
-    if T.grade == 2:
-        vert = Multivector(tangent, 2,
-                           {(m + i, m + j): up(p) for (i, j), p in T.comps.items()})
-        comp = Multivector.zero(tangent, 2)
-        for (i, j), p in T.comps.items():
-            di = Multivector.basis(tangent, chart.names[i])
-            dj = Multivector.basis(tangent, chart.names[j])
-            vi = Multivector.basis(tangent, chart.names[i] + "dot")
-            vj = Multivector.basis(tangent, chart.names[j] + "dot")
-            comp = comp + up(p) * (vi.wedge(dj) + di.wedge(vj))
-            comp = comp + fiber_stretch(p) * vi.wedge(vj)
-        return comp, vert
-
-    raise GradeError("only vector and bivector fields lift")
+    if T.grade not in (1, 2):
+        raise GradeError("only vector and bivector fields lift")
+    comp: Dict[Tuple[int, ...], ExpPoly] = {}
+    vert: Dict[Tuple[int, ...], ExpPoly] = {}
+    for idx, p in T.comps.items():
+        q = up(p)
+        dot = tuple(m + i for i in idx)
+        vert[dot] = q
+        comp[dot] = fiber_stretch(p)
+        if T.grade == 1:
+            comp[idx] = q
+        else:
+            i, j = idx
+            comp[(m + i, j)] = comp[(i, m + j)] = q
+    return Multivector(tangent, T.grade, comp), Multivector(tangent, T.grade, vert)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,12 @@ class ExpPoly:
         has_time = chart.has_time
         if terms:
             for (exps, k), c in terms.items():
-                exps = tuple(int(e) for e in exps)
+                # a key that int() would change is refused, not truncated;
+                # distinct keys of integers stay distinct, so nothing merges
+                key = (tuple(map(int, exps)), int(k))
+                if key != (exps, k):
+                    raise ValueError(f"exponents {(exps, k)!r} are not integers")
+                exps, k = key
                 if len(exps) != n:
                     raise ValueError(f"exponent vector {exps} does not fit chart dim {n}")
                 if any(e < 0 for e in exps):
@@ -51,18 +56,8 @@ class ExpPoly:
                 if k != 0 and not has_time:
                     raise ValueError("s-exponent requires a time coordinate on the chart")
                 c = _as_rat(c)
-                if c == 0:
-                    continue
-                key = (exps, int(k))
-                c0 = clean.get(key)
-                if c0 is None:
+                if c != 0:
                     clean[key] = c
-                else:
-                    c0 = c0 + c
-                    if c0 == 0:
-                        del clean[key]
-                    else:
-                        clean[key] = c0
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
 
@@ -99,7 +94,7 @@ class ExpPoly:
     @classmethod
     def s_power(cls, chart: Chart, k: int) -> "ExpPoly":
         """e^{k t} on a chart with a time coordinate."""
-        return cls(chart, {((0,) * chart.dim, int(k)): Fraction(1)})
+        return cls(chart, {((0,) * chart.dim, k): Fraction(1)})
 
     # -- predicates ----------------------------------------------------
 

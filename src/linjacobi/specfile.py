@@ -2,10 +2,10 @@
 and Jacobi pairs, with a recursive-descent expression parser that reports
 line/column positions on every failure.
 
-Layout (sections may appear in any order, each closed by `end`, except
-that the algebroid's `rank` must precede every c, rho and phi entry; each
-index lies in 1..rank, and no entry is given twice, c[j,i] counting as
-c[i,j]):
+Layout (each section closed by `end`; the patch, if any, comes first and
+the other sections may follow in any order; the algebroid's `rank` must
+precede every c, rho and phi entry; each index lies in 1..rank, and no
+entry is given twice, c[j,i] counting as c[i,j]):
 
     patch
       x1 base
@@ -247,6 +247,10 @@ class _Parser:
             t = self.expect("ident", "section name")
             if t.text in seen:
                 raise SpecError(f"duplicate section {t.text!r}", t.line, t.col)
+            if t.text == "patch" and seen:
+                # the sections read so far were parsed on the empty chart
+                raise SpecError("patch must come before every other section",
+                                t.line, t.col)
             seen.add(t.text)
             self.end_line()
             if t.text == "patch":

@@ -5,12 +5,17 @@ import random
 
 import pytest
 
-from linjacobi import (AlgebroidError, AlgebroidPatch, Chart, Cocycle,
-                       ExpPoly, Multivector, Section, anchor_apply,
-                       bracket_sections, cotangent_algebroid,
-                       jacobi_algebroid, verify_algebroid, verify_cocycle)
+import linjacobi.algebroid as algebroid
+import linjacobi.exterior as exterior
+import linjacobi.jacobi as jacobi
+from linjacobi import (CATALOG, AlgebroidError, AlgebroidPatch, Chart, Cocycle,
+                       DiffForm, ExpPoly, Multivector, Report, Section,
+                       anchor_apply, bracket_sections, build_case,
+                       cotangent_algebroid, exterior_d, interior,
+                       jacobi_algebroid, lie_derivative, pairing, psi_forward,
+                       sharp, verify_algebroid, verify_cocycle)
 
-from conftest import base_chart, count_calls, random_poly
+from conftest import base_chart, count_calls, random_multivector, random_poly
 
 POINT = Chart(())
 R3 = base_chart(3)
@@ -187,3 +192,110 @@ def test_verify_algebroid_brackets_each_basis_pair_once(monkeypatch, n):
     rep = verify_algebroid(A)
     assert len(calls) == n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 2
     assert rep.to_text() == expected.to_text()
+
+
+# -- the bivector algebroids against their generic formulas -----------------
+
+def _jacobi_algebroid_ref(L, E):
+    """T*M x R by the generic bracket formula on every basis pair, with
+    no Jacobi gate:
+
+        [(a,f),(b,g)] = (L_{#a} b - L_{#b} a - d(L(a,b))
+                           + f L_E b - g L_E a - i_E(a ^ b),
+                         L(b,a) + #a(g) - #b(f) + f E(g) - g E(f)),
+        #(a,f) = #_L(a) + f E."""
+    chart = L.chart
+    m = chart.dim
+    n = m + 1
+
+    def basis_pair(i):
+        if i <= m:
+            return DiffForm.basis(chart, chart.names[i - 1]), ExpPoly.zero(chart)
+        return DiffForm.zero(chart, 1), ExpPoly.const(chart, 1)
+
+    structure, anchor = {}, {}
+    for i in range(1, n + 1):
+        a, f = basis_pair(i)
+        sa = sharp(L, a)
+        for j in range(i + 1, n + 1):
+            b, g = basis_pair(j)
+            sb = sharp(L, b)
+            first = lie_derivative(sa, b) - lie_derivative(sb, a)
+            first = first - exterior_d(pairing(L, a, b))
+            first = first + f * lie_derivative(E, b) - g * lie_derivative(E, a)
+            iE = interior(E, a.wedge(b))
+            first = first - (DiffForm.from_function(iE) if isinstance(iE, ExpPoly) else iE)
+            second = pairing(L, b, a) + sa.apply(g) - sb.apply(f)
+            second = second + f * E.apply(g) - g * E.apply(f)
+            for (l,), p in first.comps.items():
+                structure[(i, j, l + 1)] = p
+            structure[(i, j, n)] = second
+        for (l,), p in (sa + f * E).comps.items():
+            anchor[(l, i)] = p
+    names = [f"dx_{nme}" for nme in chart.names] + ["unit"]
+    return AlgebroidPatch(chart, n, structure, anchor, basis_names=names)
+
+
+def _cotangent_algebroid_ref(L):
+    """T*M of a bivector: c_ij^k = d_k L^ij and rho(dx^i) = sharp(L, dx^i)."""
+    chart = L.chart
+    structure, anchor = {}, {}
+    for (i, j), p in L.comps.items():
+        for k, name in enumerate(chart.names):
+            structure[(i + 1, j + 1, k + 1)] = p.partial(name)
+    for i, name in enumerate(chart.names):
+        for (l,), p in sharp(L, DiffForm.basis(chart, name)).comps.items():
+            anchor[(l, i + 1)] = p
+    return AlgebroidPatch(chart, chart.dim, structure, anchor,
+                          basis_names=[f"dx_{n}" for n in chart.names])
+
+
+def _catalog_jacobi_pair(name):
+    """The case's Jacobi pair moved to a chart whose coordinates are all
+    base coordinates."""
+    case = build_case(name)
+    J = case.jacobi if case.pair is None else psi_forward(case.pair, case.dual)
+    base = Chart(tuple((n, "base") for n in J.chart.names))
+    return J.lam.transfer(base), J.e_field.transfer(base)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_bivector_algebroids_of_catalog_pairs_match_the_generic_formula(name):
+    L, E = _catalog_jacobi_pair(name)
+    A = jacobi_algebroid(L, E)
+    assert A == _jacobi_algebroid_ref(L, E)
+    assert verify_algebroid(A).passed
+    if E.is_zero:
+        P = cotangent_algebroid(L)
+        assert P == _cotangent_algebroid_ref(L)
+        assert verify_algebroid(P).passed
+
+
+def test_bivector_algebroids_of_random_pairs_match_the_generic_formula(monkeypatch):
+    """Random (L, E), most of them not Jacobi, with the Jacobi gate
+    bypassed: the closed form is an identity of the formula on any pair."""
+    monkeypatch.setattr(jacobi, "verify_jacobi", lambda J: Report())
+    rng = random.Random(20265)
+    nonzero = 0
+    for n in range(300):
+        chart = base_chart(1 + n % 3)
+        L = random_multivector(rng, chart, 2, max_terms=3)
+        E = random_multivector(rng, chart, 1, max_terms=2)
+        A = jacobi_algebroid(L, E)
+        assert A == _jacobi_algebroid_ref(L, E)
+        structure, anchor = algebroid._bivector_data(L)
+        assert AlgebroidPatch(chart, chart.dim, structure, anchor, basis_names=[
+            f"dx_{c}" for c in chart.names]) == _cotangent_algebroid_ref(L)
+        nonzero += bool(A.structure)
+    assert nonzero >= 200
+
+
+def test_jacobi_algebroid_reads_off_components(monkeypatch):
+    calls = [count_calls(monkeypatch, fn) for fn in (
+        exterior.lie_derivative, exterior.interior, exterior.pairing,
+        exterior.sharp, exterior.exterior_d)]
+    L, E = _catalog_jacobi_pair("lcs_T*R2")
+    assert not E.is_zero and not L.is_zero
+    jacobi_algebroid(L, E)
+    cotangent_algebroid(_catalog_jacobi_pair("so3")[0])
+    assert calls == [[]] * 5

@@ -1,8 +1,11 @@
 """Command dispatcher: exit codes, report formats, emitted spec files."""
 
 import json
+import os
 import random
 import string
+import subprocess
+import sys
 import time
 
 import pytest
@@ -258,7 +261,9 @@ def test_parser_is_built_once(monkeypatch, aff1_spec):
     before = run_command(argv)
     assert before[0] == 0
     outs = [run_command(argv) for _ in range(24)]
-    assert run_command(["nope"]) == (2, "")
+    code, usage = run_command(["nope"])
+    assert code == 2 and usage.startswith("usage: linjacobi")
+    assert "linjacobi: error: argument command: invalid choice: 'nope'" in usage
     outs += [run_command(argv) for _ in range(24)]
     assert outs == [before] * 48
     assert len(calls) == 1
@@ -373,3 +378,44 @@ def test_missing_section_is_reported_before_construction(tmp_path):
         2, "error: spec file has no cocycle section")
     assert run_command(["verify-algebroid", str(p)]) == (
         2, "error: need rank distinct basis names")
+
+
+def _argparse_says(capsys, argv):
+    """What argparse itself prints for argv: (exit code, stdout, stderr)."""
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["gallery", "--help"], ["nope"], ["gallery"],
+    ["verify-jacobi", "x.spec", "--bogus"], [],
+])
+def test_argparse_text_is_returned_and_main_prints_it_unchanged(capsys, argv):
+    code, out, err = _argparse_says(capsys, argv)
+    want = 0 if code in (0, None) else 2
+    assert (out if want == 0 else err).startswith("usage: linjacobi")
+    assert run_command(argv) == (want, (out or err).removesuffix("\n"))
+    assert capsys.readouterr() == ("", "")
+    assert main(argv) == want
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("argv", [["gallery", "so3", "--json"], ["--help"]])
+def test_module_entry_point_prints_the_run_command_output(argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "linjacobi.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_command(argv)[1] + "\n"
+
+
+def test_patch_after_another_section_exits_two_with_position(tmp_path):
+    p = tmp_path / "late.spec"
+    p.write_text("algebroid\n  rank 2\n  c[1,2] = (1)*e_2\nend\npatch\n  x base\nend\n")
+    for command in ("verify-algebroid", "forward"):
+        assert run_command([command, str(p)]) == (
+            2, "error: 5:1: patch must come before every other section")

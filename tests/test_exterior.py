@@ -382,3 +382,101 @@ def test_bivector_self_bracket_makes_one_half_call(monkeypatch):
     assert len(calls) == 1
     sn_bracket(L, Multivector(XT, 2, dict(L.comps)))
     assert len(calls) == 3
+
+
+# -- contraction against nested single contractions -------------------------
+
+def _interior_vector_ref(X, w):
+    """Single contraction into the first slot: (i_X w)(...) = w(X, ...)."""
+    comps = {}
+    for idx, p in w.comps.items():
+        for pos, l in enumerate(idx):
+            xl = X.comps.get((l,))
+            if xl is None:
+                continue
+            rest = idx[:pos] + idx[pos + 1:]
+            q = xl * p if pos % 2 == 0 else -(xl * p)
+            comps[rest] = comps.get(rest, ExpPoly.zero(w.chart)) + q
+    return DiffForm(w.chart, w.grade - 1, comps)
+
+
+def _interior_ref(P, w):
+    """Full contraction built by nesting single contractions along the
+    basis vectors of each component of P, left to right."""
+    chart = w.chart
+    out = DiffForm.zero(chart, w.grade - P.grade)
+    for idx, p in P.comps.items():
+        cur = w
+        for l in idx:
+            cur = _interior_vector_ref(Multivector.basis(chart, chart.names[l]), cur)
+        out = out + p * cur
+    return out.as_function() if out.grade == 0 else out
+
+
+def _pairing_ref(L, a, b):
+    """L(a, b) summed by hand over the components of L."""
+    out = ExpPoly.zero(L.chart)
+    for (i, j), p in L.comps.items():
+        ai, aj = a.comps.get((i,)), a.comps.get((j,))
+        bi, bj = b.comps.get((i,)), b.comps.get((j,))
+        if ai is not None and bj is not None:
+            out = out + p * ai * bj
+        if aj is not None and bi is not None:
+            out = out - p * aj * bi
+    return out
+
+
+def _dense_tensor(rng, cls, chart, grade):
+    """A random tensor with a random polynomial at every index."""
+    comps = {idx: random_poly(rng, chart)
+             for idx in itertools.combinations(range(chart.dim), grade)}
+    if chart.has_time:
+        comps = {i: p * ExpPoly.s_power(chart, rng.randint(-2, 2))
+                 for i, p in comps.items()}
+    return cls(chart, grade, comps)
+
+
+def test_interior_matches_nested_single_contractions():
+    rng = random.Random(20261)
+    nonzero = 0
+    for n in range(1200):
+        chart = (XYZ, XMU, XT, R4)[n % 4]
+        make = (_random_tensor, _dense_tensor)[n % 3 == 0]
+        k = rng.randint(0, chart.dim)
+        p = rng.randint(0, k)
+        P = make(rng, Multivector, chart, p)
+        w = make(rng, DiffForm, chart, k)
+        got = interior(P, w)
+        assert got == _interior_ref(P, w)
+        if p < k:
+            _assert_graded_canonical(got)
+        nonzero += not got.is_zero
+    assert nonzero >= 500
+
+
+def test_pairing_is_the_contraction_of_the_wedge():
+    rng = random.Random(20262)
+    nonzero = 0
+    for n in range(1200):
+        chart = (XYZ, XMU, XT, R4)[n % 4]
+        L = _dense_tensor(rng, Multivector, chart, 2)
+        a = _dense_tensor(rng, DiffForm, chart, 1)
+        b = _random_tensor(rng, DiffForm, chart, 1)
+        got = pairing(L, a, b)
+        assert got == _pairing_ref(L, a, b) == interior(L, a.wedge(b))
+        assert pairing(L, b, a) == -got
+        nonzero += not got.is_zero
+    assert nonzero >= 450
+
+
+def test_lie_derivative_of_a_function_is_the_derivation():
+    rng = random.Random(20263)
+    for chart in (XYZ, XMU, XT):
+        for _ in range(20):
+            X = _random_tensor(rng, Multivector, chart, 1)
+            f = _random_tensor(rng, DiffForm, chart, 0).as_function()
+            assert (lie_derivative(X, DiffForm.from_function(f))
+                    == DiffForm.from_function(X.apply(f)))
+    # X(f) = 0 keeps the grade of a function
+    assert (lie_derivative(Multivector.zero(XYZ, 1), DiffForm.from_function(_v(XYZ, "x1")))
+            == DiffForm.zero(XYZ, 0))

@@ -1,5 +1,8 @@
 """The curated example catalog and the tangent-lift formulas."""
 
+import itertools
+import random
+
 import pytest
 
 from linjacobi import (CATALOG, Chart, ExpPoly, GalleryError, Multivector,
@@ -7,7 +10,7 @@ from linjacobi import (CATALOG, Chart, ExpPoly, GalleryError, Multivector,
                        cotangent_algebroid, linear_poisson_dual, psi_forward,
                        run_case, verify_algebroid, verify_jacobi)
 
-from conftest import base_chart, count_calls
+from conftest import base_chart, count_calls, random_multivector, random_poly
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -94,6 +97,55 @@ def test_complete_lift_matches_dual_linear_structure():
         A = cotangent_algebroid(L)
         dual = A.dual_chart([n + "dot" for n in chart.names])
         assert linear_poisson_dual(A, dual) == Lc.transfer(dual)
+
+
+def _lift_ref(T):
+    """Complete and vertical lifts summed from wedges of basis fields."""
+    chart = T.chart
+    names = chart.names
+    tangent = Chart(chart.coords + tuple((n + "dot", "fiber") for n in names))
+    d = lambda i: Multivector.basis(tangent, names[i])
+    v = lambda i: Multivector.basis(tangent, names[i] + "dot")
+
+    def up(p):
+        return p.transfer(tangent)
+
+    def fiber_stretch(p):
+        out = ExpPoly.zero(tangent)
+        for n in names:
+            out = out + ExpPoly.var(tangent, n + "dot") * up(p.partial(n))
+        return out
+
+    comp = vert = Multivector.zero(tangent, T.grade)
+    for idx, p in T.comps.items():
+        if T.grade == 1:
+            (i,) = idx
+            comp = comp + up(p) * d(i) + fiber_stretch(p) * v(i)
+            vert = vert + up(p) * v(i)
+        else:
+            i, j = idx
+            comp = comp + up(p) * (v(i).wedge(d(j)) + d(i).wedge(v(j)))
+            comp = comp + fiber_stretch(p) * v(i).wedge(v(j))
+            vert = vert + up(p) * v(i).wedge(v(j))
+    return comp, vert
+
+
+def test_lifts_match_the_wedge_built_lifts():
+    rng = random.Random(20264)
+    nonzero = 0
+    for n in range(1200):
+        chart = base_chart(1 + (n // 2) % 4)
+        grade = 1 + n % 2
+        if n % 3:
+            T = random_multivector(rng, chart, grade, max_terms=3)
+        else:
+            T = Multivector(chart, grade, {
+                idx: random_poly(rng, chart)
+                for idx in itertools.combinations(range(chart.dim), grade)})
+        got = complete_vertical_lift(T)
+        assert got == _lift_ref(T)
+        nonzero += not got[0].is_zero
+    assert nonzero >= 700
 
 
 def test_lift_requires_base_chart():

@@ -80,6 +80,38 @@ def test_s_power_requires_time_coordinate():
         ExpPoly.s_power(XY, 1)
 
 
+X = Chart((("x", "base"),))
+
+
+@pytest.mark.parametrize("chart, terms", [
+    (X, {((Fraction(3, 2),), 0): 1}),
+    (X, {((1.5,), 0): 1, ((1,), 0): 2}),
+    (XT, {((1, 0), 0.5): 1}),
+    (XT, {((1, 0), Fraction(-3, 2)): 1}),
+    (X, {(range(1, 2), 0): 1}),
+    (X, {((1,), "1"): 1}),
+])
+def test_non_integer_exponents_rejected(chart, terms):
+    with pytest.raises(ValueError):
+        ExpPoly(chart, terms)
+
+
+def test_integer_valued_exponents_accepted():
+    x = ExpPoly.var(X, "x")
+    assert ExpPoly(X, {((Fraction(2),), 0): 1}) == x * x
+    assert ExpPoly(X, {((2.0,), 0): 1, ((True,), False): 3}) == x * x + 3 * x
+    key = next(iter(ExpPoly(XT, {((True, 0), 2.0): 1}).terms))
+    assert key == ((1, 0), 2) and all(type(e) is int for e in key[0] + key[1:])
+
+
+def test_non_integer_s_power_rejected():
+    with pytest.raises(ValueError):
+        ExpPoly.s_power(XT, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        ExpPoly.s_power(XT, 1.5)
+    assert ExpPoly.s_power(XT, 1.0) == ExpPoly.s_power(XT, 1)
+
+
 def test_fiber_degree_and_predicates():
     x, mu = ExpPoly.var(XMU, "x"), ExpPoly.var(XMU, "mu")
     assert (x * x).is_basic()

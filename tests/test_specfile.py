@@ -187,3 +187,31 @@ def test_repeated_anchor_and_rank_entries_rejected():
     assert _error_at(text) == (7, 3, "second entry for rho[1]")
     assert _error_at("algebroid\n  rank 2\n  rank 3\nend\n") == (
         3, 3, "second entry for rank")
+
+
+@pytest.mark.parametrize("before", [
+    "algebroid\n  rank 2\n  c[1,2] = (1)*e_2\nend\n",
+    "algebroid\n  rank 1\nend\ncocycle\n  phi[1] = 1\nend\n",
+    "jacobi\n  lambda = 0\nend\n",
+])
+def test_patch_after_another_section_fails_at_its_token(before):
+    line = before.count("\n") + 1
+    assert _error_at(before + "patch\n  x base\nend\n") == (
+        line, 1, "patch must come before every other section")
+
+
+def test_minus_signs_in_sums():
+    spec = parse_spec("patch\n  x base\n  y base\nend\n"
+                      "algebroid\n  rank 2\n  c[1,2] = -e_2 - x*e_1\n"
+                      "  rho[1] = -(2)*d/dx - -d/dy\nend\n"
+                      "jacobi\n  lambda = (1)*d/dx^d/dy - (3)*d/dx^d/dy\n"
+                      "  efield = -d/dx - x*d/dy\nend\n")
+    chart = spec.chart
+    x = ExpPoly.var(chart, "x")
+    base = spec.base_chart()
+    assert spec.structure == {(1, 2, 2): ExpPoly.const(base, -1),
+                              (1, 2, 1): -ExpPoly.var(base, "x")}
+    assert spec.anchor == {(0, 1): ExpPoly.const(base, -2),
+                           (1, 1): ExpPoly.const(base, 1)}
+    assert spec.lam.comps == {(0, 1): ExpPoly.const(chart, -2)}
+    assert spec.e_field.comps == {(0,): ExpPoly.const(chart, -1), (1,): -x}
