@@ -3,7 +3,7 @@ structures with 1-cocycles on a bundle and linear Jacobi structures on
 the dual bundle."""
 
 from .chart import Chart, ChartError
-from .ring import ChartMismatchError, EvalError, ExpPoly, Rat
+from .ring import ChartMismatchError, EvalError, ExpPoly, FieldOverflowError, Rat
 from .exterior import (DiffForm, GradeError, Multivector,
                        check_nondegenerate, exterior_d, interior,
                        lie_derivative, pairing, sharp, sn_bracket)
@@ -29,8 +29,9 @@ __all__ = [
     "AlgebroidError", "AlgebroidPatch", "AlgebroidWithCocycle", "CATALOG",
     "C1Violation", "C2Violation", "Chart", "ChartError", "ChartMismatchError",
     "Check", "Cocycle", "ContactError", "DiffForm", "EvalError", "ExpPoly",
-    "GalleryCase", "GalleryError", "GradeError", "JacobiStructure",
-    "LinearityViolation", "Multivector", "Rat", "Report", "Section",
+    "FieldOverflowError", "GalleryCase", "GalleryError", "GradeError",
+    "JacobiStructure", "LinearityViolation", "Multivector", "Rat", "Report",
+    "Section",
     "SpecError", "SpecFile", "anchor_apply", "bracket_sections", "build_case",
     "check_C1", "check_C2", "check_nondegenerate", "complete_vertical_lift",
     "contact_to_jacobi", "cotangent_algebroid", "exterior_d", "forward_report",

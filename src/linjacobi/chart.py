@@ -14,6 +14,10 @@ from typing import Iterable, Optional, Tuple
 
 ROLES = ("base", "fiber", "time")
 
+# Width of one field of a packed monomial key (see ring.ExpPoly): the
+# s-exponent sits in the lowest field, coordinate i at FIELD_BITS*(dim - i).
+FIELD_BITS = 64
+
 
 class ChartError(ValueError):
     pass
@@ -44,7 +48,9 @@ class Chart:
                              _roles=tuple(r for _, r in coords),
                              _fiber_indices=fiber,
                              _fiber_names=tuple(names[i] for i in fiber),
-                             _time_index=times[0] if times else None)
+                             _time_index=times[0] if times else None,
+                             _units=tuple(1 << (FIELD_BITS * (len(coords) - i))
+                                          for i in range(len(coords))))
 
     def __eq__(self, other):
         if self is other:
@@ -91,6 +97,11 @@ class Chart:
     @property
     def has_time(self) -> bool:
         return self._time_index is not None
+
+    @property
+    def units(self) -> Tuple[int, ...]:
+        """The packed key of each coordinate to the first power."""
+        return self._units
 
     # -- derived charts ------------------------------------------------
 

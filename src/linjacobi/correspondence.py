@@ -199,7 +199,7 @@ def _fiber_linear_decompose(p: ExpPoly, dual: Chart,
     on the base chart."""
     fib = dual.fiber_indices
     buckets: Dict[int, Dict] = {i: {} for i in range(len(fib))}
-    for (exps, k), c in p.terms.items():
+    for (exps, k), c in p.monomials():
         hit = None
         for pos, i in enumerate(fib):
             if exps[i] == 1:

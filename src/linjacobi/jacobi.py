@@ -4,6 +4,7 @@ construction."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional
 
 from .chart import Chart
@@ -181,8 +182,8 @@ def contact_to_jacobi(eta: DiffForm) -> JacobiStructure:
     if not pf.is_nonvanishing_constant():
         raise ContactError("flat map not exactly invertible over the ring "
                            f"(det = {(pf * pf).render()})")
-    ((_, k), c), = pf.terms.items()
-    inv_pf = ExpPoly(chart, {((0,) * n, -k): 1 / c})
+    ((_, k), c), = pf.monomials()
+    inv_pf = ExpPoly(chart, {((0,) * n, -k): Fraction(1) / c})
 
     def minus_inverse(a: int, b: int) -> ExpPoly:
         keep = [r for r in range(n + 1) if r != a and r != b]

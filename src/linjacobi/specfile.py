@@ -30,8 +30,10 @@ entry is given twice, c[j,i] counting as c[i,j]):
     end
 
 Scalar expressions follow  expr := term (('+'|'-') term)*;
-term := factor ('*' factor)*;
-factor := rational | ident | ident '^' int | 'exp' '(' int '*' t ')' | '(' expr ')'.
+term := factor ('*' factor)*;  factor := '-'* atom;
+atom := rational | ident | ident '^' int | 'exp' '(' int '*' t ')' | '(' expr ')'.
+Parentheses nest at most MAX_NESTING deep, and an exponent of 2^63 or more,
+written or reached by a product, is an error at its token or at the '*'.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .chart import Chart, ChartError
-from .ring import ExpPoly
+from .ring import ExpPoly, FieldOverflowError
 from .exterior import Multivector
 from .algebroid import AlgebroidError, AlgebroidPatch, Cocycle
 from .jacobi import JacobiStructure
@@ -156,6 +158,12 @@ _RANKED = {"c": "structure functions", "rho": "anchor components",
            "phi": "cocycle components"}
 
 
+# parentheses nested deeper than this are an error at the next '(': each
+# level costs three frames of the recursive descent, so this stays well
+# below Python's default recursion limit of 1000
+MAX_NESTING = 100
+
+
 def _int(text: str, t: Token) -> int:
     """The value of a digit string within token t; a literal too long for
     int() is an error at that token."""
@@ -172,6 +180,7 @@ class _Parser:
         self.i = 0
         self.full_chart = Chart(())
         self.section_end: Optional[Token] = None  # `end` of the last section
+        self.nesting = 0  # open parentheses around the current factor
 
     # -- token plumbing ------------------------------------------------
 
@@ -377,8 +386,12 @@ class _Parser:
 
     def _parse_jacobi(self, spec: SpecFile) -> None:
         chart = spec.chart
+        seen = set()
         for _ in self._section_lines():
             t = self.expect("ident", "jacobi entry")
+            if t.text in seen:
+                raise SpecError(f"second entry for {t.text}", t.line, t.col)
+            seen.add(t.text)
             self.expect_sym("=")
             if t.text == "lambda":
                 spec.lam = self._multivector(chart, 2)
@@ -401,14 +414,19 @@ class _Parser:
     def _term(self, chart: Chart) -> ExpPoly:
         p = self._factor(chart)
         while self.at_sym("*"):
-            self.advance()
-            p = p * self._factor(chart)
+            star = self.advance()
+            p = _times(p, self._factor(chart), star)
         return p
 
     def _factor(self, chart: Chart) -> ExpPoly:
-        if self.at_sym("-"):
+        negate = False
+        while self.at_sym("-"):
             self.advance()
-            return -self._factor(chart)
+            negate = not negate
+        p = self._atom(chart)
+        return -p if negate else p
+
+    def _atom(self, chart: Chart) -> ExpPoly:
         t = self.cur
         if t.kind == "number":
             self.advance()
@@ -420,14 +438,20 @@ class _Parser:
                 return ExpPoly.const(chart, Fraction(a, b))
             return ExpPoly.const(chart, _int(t.text, t))
         if self.at_sym("("):
+            if self.nesting == MAX_NESTING:
+                raise self.error(f"expression nested deeper than {MAX_NESTING} "
+                                 "parentheses")
             self.advance()
+            self.nesting += 1
             p = self.parse_expr(chart)
+            self.nesting -= 1
             self.expect_sym(")")
             return p
         if t.kind == "ident":
             if t.text == "exp":
                 self.advance()
                 self.expect_sym("(")
+                kt = self.cur
                 k = self.expect_int("integer exponent")
                 self.expect_sym("*")
                 tv = self.expect("ident", "time coordinate")
@@ -436,7 +460,10 @@ class _Parser:
                         f"{tv.text!r} is not the time coordinate of the patch",
                         tv.line, tv.col)
                 self.expect_sym(")")
-                return ExpPoly.s_power(chart, k)
+                try:
+                    return ExpPoly.s_power(chart, k)
+                except FieldOverflowError as exc:
+                    raise SpecError(str(exc), kt.line, kt.col) from None
             if not chart.has(t.text):
                 if self.full_chart.has(t.text):
                     raise SpecError(
@@ -444,15 +471,19 @@ class _Parser:
                         t.line, t.col)
                 raise SpecError(f"undeclared coordinate {t.text!r}", t.line, t.col)
             self.advance()
-            e = 1
+            e, et = 1, t
             if self.at_sym("^"):
                 self.advance()
+                et = self.cur
                 e = self.expect_int("exponent")
                 if e < 0:
                     raise SpecError("negative exponent", t.line, t.col)
             i = chart.index(t.text)
             exps = tuple(e if j == i else 0 for j in range(chart.dim))
-            return ExpPoly(chart, {(exps, 0): 1})
+            try:
+                return ExpPoly(chart, {(exps, 0): 1})
+            except FieldOverflowError as exc:
+                raise SpecError(str(exc), et.line, et.col) from None
         raise self.error(f"expected an expression, found {t.text or 'end of input'!r}")
 
     def _coefficient(self, chart: Chart):
@@ -462,16 +493,15 @@ class _Parser:
         while self.at_sym("-"):
             self.advance()
             sign = -sign
-        p = None
+        p = star = None
         while self.cur.kind in ("number", "ident") or self.at_sym("("):
             q = self._factor(chart)
-            p = q if p is None else p * q
+            p = q if p is None else _times(p, q, star)
             if self.at_sym("*"):
                 nxt = self.toks[self.i + 1]
+                star = self.advance()
                 if nxt.kind in ("ddn", "basis"):
-                    self.advance()
                     break
-                self.advance()
                 continue
             break
         if p is None:
@@ -530,6 +560,15 @@ class _Parser:
             q = comps.get(idx)
             comps[idx] = p if q is None else q + p
         return Multivector(chart, grade, comps)
+
+
+def _times(p: ExpPoly, q: ExpPoly, star: Token) -> ExpPoly:
+    """p * q, whose exponents past the ring's field width are an error at
+    the '*' token."""
+    try:
+        return p * q
+    except FieldOverflowError as exc:
+        raise SpecError(str(exc), star.line, star.col) from None
 
 
 def parse_expression(text: str, chart: Chart) -> ExpPoly:

@@ -136,8 +136,8 @@ def test_basis_sections_are_canonical():
     for i in (1, 2):
         e = Section.basis(A, i)
         assert e == Section(A, tuple(1 if j == i else 0 for j in (1, 2)))
-        assert [p.terms for p in e.components] == [
-            {((), 0): 1} if j == i else {} for j in (1, 2)]
+        assert [list(p.monomials()) for p in e.components] == [
+            [(((), 0), 1)] if j == i else [] for j in (1, 2)]
 
 
 def _dense_bracket(A, mu, eta):

@@ -235,6 +235,32 @@ def test_huge_exponent_is_capped_quickly(tmp_path):
                               "(use --no-caps to override)")
 
 
+def test_huge_exponents_under_no_caps(tmp_path):
+    """Exponents below 2^63 are exact under --no-caps; a product that
+    would reach 2^63 is an error at its '*'."""
+    p = tmp_path / "huge.spec"
+    p.write_text("patch\n  x base\n  y base\nend\n\n"
+                 "jacobi\n  lambda = (x^2000000000*x^2000000000)*d/dx^d/dy\nend\n")
+    assert run_command(["verify-jacobi", str(p), "--no-caps"])[0] == 0
+    p.write_text("patch\n  x base\n  y base\nend\n\n"
+                 "jacobi\n  lambda = (x^4611686018427387904*x^4611686018427387904)"
+                 "*d/dx^d/dy\nend\n")
+    code, out = run_command(["verify-jacobi", str(p), "--no-caps"])
+    assert code == 2 and out.startswith("error: 7:34: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-caps"]])
+def test_deep_nesting_fails_at_its_parenthesis_quickly(tmp_path, flags):
+    p = tmp_path / "deep.spec"
+    p.write_text("patch\n  x base\n  y base\nend\n\njacobi\n  lambda = "
+                 + "(" * 400 + "x" + ")" * 400 + "*d/dx^d/dy\nend\n")
+    start = time.perf_counter()
+    code, out = run_command(["verify-jacobi", str(p)] + flags)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "error: 7:112: expression nested deeper than 100 "
+                              "parentheses")
+
+
 def test_huge_cocycle_index_fails_at_its_line_quickly(tmp_path):
     p = tmp_path / "huge.spec"
     p.write_text("algebroid\n  rank 2\nend\ncocycle\n  phi[3000000] = 1\nend\n")

@@ -215,3 +215,60 @@ def test_minus_signs_in_sums():
                            (1, 1): ExpPoly.const(base, 1)}
     assert spec.lam.comps == {(0, 1): ExpPoly.const(chart, -2)}
     assert spec.e_field.comps == {(0,): ExpPoly.const(chart, -1), (1,): -x}
+
+
+def test_repeated_lambda_and_efield_rejected():
+    head = "patch\n  x base\n  y base\nend\njacobi\n"
+    text = head + ("  lambda = (1)*d/dx^d/dy\n  lambda = (2)*d/dx^d/dy\n"
+                   "  efield = (1)*d/dx\n  efield = 0\nend\n")
+    assert _error_at(text) == (7, 3, "second entry for lambda")
+    text = head + "  lambda = 0\n  efield = (1)*d/dx\n  efield = 0\nend\n"
+    assert _error_at(text) == (8, 3, "second entry for efield")
+
+
+def test_nesting_limit_is_an_error_at_the_parenthesis():
+    from linjacobi.specfile import MAX_NESTING
+    chart = Chart((("x", "base"),))
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_expression(deep, chart) == ExpPoly.var(chart, "x")
+    with pytest.raises(SpecError) as info:
+        parse_expression("(" + deep + ")", chart)
+    err = info.value
+    assert (err.line, err.col) == (1, MAX_NESTING + 1)
+    assert err.message == f"expression nested deeper than {MAX_NESTING} parentheses"
+
+
+def test_leading_minus_signs_do_not_recurse():
+    chart = Chart((("x", "base"),))
+    x = ExpPoly.var(chart, "x")
+    assert parse_expression("-" * 5000 + "x", chart) == x
+    assert parse_expression("-" * 5001 + "x^2", chart) == -(x * x)
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("x^9223372036854775808", 3),               # the exponent token
+    ("exp(-9223372036854775808*t)", 5),         # the s-exponent's sign
+    ("x^4611686018427387904*x^4611686018427387904", 22),   # the '*'
+    ("2*x^4611686018427387904*(x+1)*x^4611686018427387904", 30),
+])
+def test_exponents_past_the_field_width_fail_at_their_token(expr, col):
+    chart = Chart((("x", "base"), ("t", "time")))
+    with pytest.raises(SpecError) as info:
+        parse_expression(expr, chart)
+    assert (info.value.line, info.value.col) == (1, col)
+    assert "field" in info.value.message
+
+
+def test_exponents_just_below_the_field_width_parse():
+    chart = Chart((("x", "base"), ("t", "time")))
+    p = parse_expression("x^4611686018427387904*x^4611686018427387903", chart)
+    assert list(p.monomials()) == [(((2**63 - 1, 0), 0), 1)]
+    p = parse_expression("exp(-9223372036854775807*t)", chart)
+    assert list(p.monomials()) == [(((0, 0), -(2**63 - 1)), 1)]
+
+
+def test_exponents_past_the_field_width_fail_at_the_star_before_a_symbol():
+    text = ("patch\n  x base\nend\nalgebroid\n  rank 1\n"
+            "  rho[1] = x^4611686018427387904*x^4611686018427387904*d/dx\nend\n")
+    line, col, message = _error_at(text)
+    assert (line, col) == (6, 33) and "exponent" in message
