@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .chart import FIELD_BITS, Chart
 
@@ -62,6 +62,21 @@ def _fitted(m: int) -> int:
         raise FieldOverflowError(f"exponent {m} does not fit a {FIELD_BITS}-bit "
                                  f"field (exponents < 2^{FIELD_BITS - 1})")
     return m
+
+
+def _past_the_field(top: int) -> FieldOverflowError:
+    """The error for a product whose bound top, the sum of its factors'
+    bounds, reaches LIMIT."""
+    return FieldOverflowError(f"a product exponent may reach {top}, past the "
+                              f"{FIELD_BITS}-bit field (exponents < 2^{FIELD_BITS - 1})")
+
+
+def _decode(keys: Iterable[int], dim: int) -> Iterator[Key]:
+    """(exponents, k) of each packed key of a dim-coordinate chart."""
+    shifts = range(FIELD_BITS * dim, 0, -FIELD_BITS)
+    for key in keys:
+        u = key + LIMIT  # k + LIMIT fills the low field without a borrow
+        yield tuple((u >> s) & _MASK for s in shifts), (u & _MASK) - LIMIT
 
 
 def _reduced(terms: Dict[int, int], den: int) -> Tuple[Dict[int, int], int]:
@@ -158,13 +173,9 @@ class ExpPoly:
     def monomials(self) -> Iterator[Tuple[Key, Fraction]]:
         """((exponents, k), coefficient) for every term, in descending
         (exponents, k) order."""
-        n = self.chart.dim
-        shifts = range(FIELD_BITS * n, 0, -FIELD_BITS)
-        terms, den = self.terms, self.den
-        for key in sorted(terms, reverse=True):
-            u = key + LIMIT  # k + LIMIT fills the low field without a borrow
-            yield (tuple((u >> s) & _MASK for s in shifts), (u & _MASK) - LIMIT), \
-                Fraction(terms[key], den)
+        keys = sorted(self.terms, reverse=True)
+        for key, ek in zip(keys, _decode(keys, self.chart.dim)):
+            yield ek, Fraction(self.terms[key], self.den)
 
     # -- predicates ----------------------------------------------------
 
@@ -259,9 +270,7 @@ class ExpPoly:
             return ExpPoly.zero(self.chart)
         top = self.top + other.top
         if top >= LIMIT:
-            raise FieldOverflowError(
-                f"a product exponent may reach {top}, past the {FIELD_BITS}-bit "
-                f"field (exponents < 2^{FIELD_BITS - 1})")
+            raise _past_the_field(top)
         terms: Dict[int, int] = {}
         get = terms.get
         right = list(other.terms.items())
@@ -324,29 +333,26 @@ class ExpPoly:
         terms, den = _reduced(terms, self.den)
         return ExpPoly._make(chart, terms, den, self.top if terms else 0)
 
+    def _fiber_degrees(self) -> Iterator[int]:
+        """The fiber degree of each term, in no particular order."""
+        fib = self.chart.fiber_indices
+        return (sum(exps[i] for i in fib) for exps, _ in _decode(self.terms, self.chart.dim))
+
     def fiber_degree(self) -> Optional[int]:
         """Max total degree in fiber coordinates; None for the zero function."""
-        if not self.terms:
-            return None
-        fib = self.chart.fiber_indices
-        return max(sum(exps[i] for i in fib) for (exps, _), _ in self.monomials())
+        return max(self._fiber_degrees(), default=None)
 
     def is_basic(self) -> bool:
         """Fiber-degree 0 (a pullback from the base), including 0."""
-        fib = self.chart.fiber_indices
-        return all(sum(exps[i] for i in fib) == 0 for (exps, _), _ in self.monomials())
+        return all(d == 0 for d in self._fiber_degrees())
 
     def is_linear(self) -> bool:
         """Every term has fiber degree exactly 1 (and the value is nonzero)."""
-        if not self.terms:
-            return False
-        fib = self.chart.fiber_indices
-        return all(sum(exps[i] for i in fib) == 1 for (exps, _), _ in self.monomials())
+        return bool(self.terms) and all(d == 1 for d in self._fiber_degrees())
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exps) for (exps, _), _ in self.monomials())
+        return max((sum(exps) for exps, _ in _decode(self.terms, self.chart.dim)),
+                   default=0)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point.
@@ -392,6 +398,8 @@ class ExpPoly:
         target chart; s-exponents require the target to have a time
         coordinate as well.
         """
+        if not self.terms:
+            return ExpPoly.zero(chart)
         src = self.chart
         # per source coordinate: its field's shift, and its unit on the
         # target chart or None when the target lacks it

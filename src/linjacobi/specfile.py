@@ -1,6 +1,7 @@
 """A small line-oriented text format for charts, algebroid data, cocycles
 and Jacobi pairs, with a recursive-descent expression parser that reports
-line/column positions on every failure.
+line:col on every failure; a column counts characters from the start of
+its line, a tab being one.
 
 Layout (each section closed by `end`; the patch, if any, comes first and
 the other sections may follow in any order; the algebroid's `rank` must
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .chart import Chart, ChartError
-from .ring import ExpPoly, FieldOverflowError
+from .ring import LIMIT, ExpPoly, FieldOverflowError, _fitted, _past_the_field
 from .exterior import Multivector
 from .algebroid import AlgebroidError, AlgebroidPatch, Cocycle
 from .jacobi import JacobiStructure
@@ -106,46 +107,42 @@ class SpecFile:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# One match per token, taking the blanks and the comment after it along.
+# A symbol's kind is the symbol itself (the unnamed group 6), and a
+# character no token can start with falls to the last group.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<ddn>d/d[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<basis>e_[0-9]+)
-  | (?P<number>[0-9]+(?:/[0-9]+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[-+*^()\[\],=])
-""", re.VERBOSE)
+    (?:
+        (?P<nl>\n)
+      | (?P<ddn>d/d[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<basis>e_[0-9]+)
+      | (?P<number>[0-9]+(?:/[0-9]+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | ([-+*^()\[\],=])
+      | (?P<bad>.)
+    )
+    [ \t]*(?:\#[^\n]*)?
+""", re.VERBOSE | re.DOTALL)
+_BLANK_RE = re.compile(r"[ \t]*(?:\#[^\n]*)?")  # what precedes the first token
+
+_Tok = Tuple[str, str, int]  # (kind, text, offset)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # ddn | basis | number | ident | sym | nl | eof
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """The 1-based (line, column) of a character offset; a column counts
+    characters from the start of its line, a tab being one."""
+    start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, start) + 1, offset - start + 1
 
 
-def _tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SpecError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "nl":
-            toks.append(Token("nl", "\n", line, col))
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                toks.append(Token(kind, chunk, line, col))
-            col += len(chunk)
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+def _tokenize(text: str) -> List[_Tok]:
+    """Every token, then ("eof", "", len(text)); an unexpected character
+    is an error before anything is parsed."""
+    toks = [(m.lastgroup or m[6], m[m.lastindex], m.start())
+            for m in _TOKEN_RE.finditer(text, _BLANK_RE.match(text).end())]
+    for kind, chunk, offset in toks:
+        if kind == "bad":
+            raise SpecError(f"unexpected character {chunk!r}", *_position(text, offset))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -159,91 +156,85 @@ _RANKED = {"c": "structure functions", "rho": "anchor components",
 
 
 # parentheses nested deeper than this are an error at the next '(': each
-# level costs three frames of the recursive descent, so this stays well
+# level costs two frames of the recursive descent, so this stays well
 # below Python's default recursion limit of 1000
 MAX_NESTING = 100
 
 
-def _int(text: str, t: Token) -> int:
-    """The value of a digit string within token t; a literal too long for
-    int() is an error at that token."""
-    try:
-        return int(text)
-    except ValueError:
-        raise SpecError(f"integer literal of {len(text)} digits is too long",
-                        t.line, t.col) from None
-
-
 class _Parser:
-    def __init__(self, toks: List[Token]):
-        self.toks = toks
-        self.i = 0
-        self.full_chart = Chart(())
-        self.section_end: Optional[Token] = None  # `end` of the last section
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
+        self.i = 0  # index of the current token
+        self.full_chart = SpecFile.chart  # the empty chart until a patch
+        self.section_end: Optional[_Tok] = None  # `end` of the last section
         self.nesting = 0  # open parentheses around the current factor
 
     # -- token plumbing ------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.i]
-
-    def error(self, message: str) -> SpecError:
-        t = self.cur
-        return SpecError(message, t.line, t.col)
-
-    def advance(self) -> Token:
-        t = self.cur
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def error(self, message: str, tok: Optional[_Tok] = None) -> SpecError:
+        """A SpecError at tok, by default at the current token."""
+        if tok is None:
+            tok = self.toks[self.i]
+        return SpecError(message, *_position(self.text, tok[2]))
 
     def skip_blank(self) -> None:
-        while self.cur.kind == "nl":
-            self.advance()
+        while self.toks[self.i][0] == "nl":
+            self.i += 1
 
-    def at_sym(self, ch: str) -> bool:
-        return self.cur.kind == "sym" and self.cur.text == ch
-
-    def expect_sym(self, ch: str) -> Token:
-        if not self.at_sym(ch):
-            raise self.error(f"expected {ch!r}, found {self.cur.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect(self, kind: str, what: str) -> Token:
-        if self.cur.kind != kind:
-            raise self.error(f"expected {what}, found {self.cur.text or 'end of input'!r}")
-        return self.advance()
+    def expect(self, kind: str, what: Optional[str] = None) -> _Tok:
+        """The current token, which must be of `kind`; a symbol is its own
+        kind and names itself in the message."""
+        t = self.toks[self.i]
+        if t[0] != kind:
+            raise self.error(f"expected {what or repr(kind)}, "
+                             f"found {t[1] or 'end of input'!r}")
+        self.i += 1
+        return t
 
     def end_line(self) -> None:
-        if self.cur.kind == "eof":
-            return
-        if self.cur.kind != "nl":
-            raise self.error(f"trailing input {self.cur.text!r}")
-        self.advance()
+        kind, text, _ = self.toks[self.i]
+        if kind == "nl":
+            self.i += 1
+        elif kind != "eof":
+            raise self.error(f"trailing input {text!r}")
+
+    def int_of(self, digits: str, t: _Tok) -> int:
+        """A digit string of token t; one too long for int() is an error at t."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"integer literal of {len(digits)} digits is too long",
+                             t) from None
+
+    def fitted(self, m: int, t: _Tok) -> int:
+        """An exponent or |k| that fits the ring's field, else an error at t."""
+        try:
+            return _fitted(m)
+        except FieldOverflowError as exc:
+            raise self.error(str(exc), t) from None
 
     def expect_int(self, what: str = "integer") -> int:
-        neg = False
-        if self.at_sym("-"):
-            self.advance()
-            neg = True
+        neg = self.toks[self.i][0] == "-"
+        if neg:
+            self.i += 1
         t = self.expect("number", what)
-        if "/" in t.text:
-            raise SpecError(f"expected {what}, found rational {t.text!r}", t.line, t.col)
-        v = _int(t.text, t)
+        if "/" in t[1]:
+            raise self.error(f"expected {what}, found rational {t[1]!r}", t)
+        v = self.int_of(t[1], t)
         return -v if neg else v
 
     def expect_index(self, rank: int, what: str) -> int:
         """An integer in 1..rank; out of range is an error at its first token."""
-        t = self.cur
+        t = self.toks[self.i]
         v = self.expect_int(what)
         if not 1 <= v <= rank:
-            raise SpecError(f"{what} {v} out of range", t.line, t.col)
+            raise self.error(f"{what} {v} out of range", t)
         return v
 
-    def need_rank(self, spec: SpecFile, t: Token) -> int:
+    def need_rank(self, spec: SpecFile, t: _Tok) -> int:
         if spec.rank is None:
-            raise SpecError(f"rank must precede {_RANKED[t.text]}", t.line, t.col)
+            raise self.error(f"rank must precede {_RANKED[t[1]]}", t)
         return spec.rank
 
     # -- sections ------------------------------------------------------
@@ -252,36 +243,36 @@ class _Parser:
         spec = SpecFile()
         seen = set()
         self.skip_blank()
-        while self.cur.kind != "eof":
+        while self.toks[self.i][0] != "eof":
             t = self.expect("ident", "section name")
-            if t.text in seen:
-                raise SpecError(f"duplicate section {t.text!r}", t.line, t.col)
-            if t.text == "patch" and seen:
+            if t[1] in seen:
+                raise self.error(f"duplicate section {t[1]!r}", t)
+            if t[1] == "patch" and seen:
                 # the sections read so far were parsed on the empty chart
-                raise SpecError("patch must come before every other section",
-                                t.line, t.col)
-            seen.add(t.text)
+                raise self.error("patch must come before every other section", t)
+            seen.add(t[1])
             self.end_line()
-            if t.text == "patch":
+            if t[1] == "patch":
                 self._parse_patch(spec)
-            elif t.text == "algebroid":
+            elif t[1] == "algebroid":
                 self._parse_algebroid(spec)
-            elif t.text == "cocycle":
+            elif t[1] == "cocycle":
                 self._parse_cocycle(spec)
-            elif t.text == "jacobi":
+            elif t[1] == "jacobi":
                 self._parse_jacobi(spec)
             else:
-                raise SpecError(f"unknown section {t.text!r}", t.line, t.col)
+                raise self.error(f"unknown section {t[1]!r}", t)
             self.skip_blank()
         return spec
 
     def _section_lines(self):
         while True:
             self.skip_blank()
-            if self.cur.kind == "eof":
+            kind, text, _ = self.toks[self.i]
+            if kind == "eof":
                 raise self.error("section not closed by 'end'")
-            if self.cur.kind == "ident" and self.cur.text == "end":
-                self.section_end = self.advance()
+            if kind == "ident" and text == "end":
+                self.section_end = self.expect("ident")
                 self.end_line()
                 return
             yield
@@ -289,74 +280,72 @@ class _Parser:
     def _parse_patch(self, spec: SpecFile) -> None:
         coords: List[Tuple[str, str]] = []
         for _ in self._section_lines():
-            name = self.expect("ident", "coordinate name").text
+            name = self.expect("ident", "coordinate name")[1]
             role_tok = self.expect("ident", "coordinate role")
-            if role_tok.text not in ("base", "fiber", "time"):
-                raise SpecError(f"unknown role {role_tok.text!r}",
-                                role_tok.line, role_tok.col)
-            coords.append((name, role_tok.text))
+            if role_tok[1] not in ("base", "fiber", "time"):
+                raise self.error(f"unknown role {role_tok[1]!r}", role_tok)
+            coords.append((name, role_tok[1]))
             self.end_line()
         try:
             spec.chart = Chart(tuple(coords))
         except ChartError as exc:
-            raise SpecError(str(exc), self.cur.line, self.cur.col)
+            raise self.error(str(exc))
         self.full_chart = spec.chart
 
     def _parse_algebroid(self, spec: SpecFile) -> None:
         base = spec.base_chart()
         seen = set()
 
-        def once(key, name: str, t: Token) -> None:
+        def once(key, name: str, t: _Tok) -> None:
             if key in seen:
-                raise SpecError(f"second entry for {name}", t.line, t.col)
+                raise self.error(f"second entry for {name}", t)
             seen.add(key)
 
         for _ in self._section_lines():
             t = self.expect("ident", "algebroid entry")
-            if t.text in ("rank", "basis"):
-                once(t.text, t.text, t)
-            if t.text == "rank":
+            if t[1] in ("rank", "basis"):
+                once(t[1], t[1], t)
+            if t[1] == "rank":
                 v = self.expect_int("rank")
                 if v < 1:
-                    raise SpecError("rank must be positive", t.line, t.col)
+                    raise self.error("rank must be positive", t)
                 spec.rank = v
-            elif t.text == "basis":
+            elif t[1] == "basis":
                 names = []
-                while self.cur.kind in ("ident", "basis"):
-                    names.append(self.advance().text)
+                while self.toks[self.i][0] in ("ident", "basis"):
+                    names.append(self.toks[self.i][1])
+                    self.i += 1
                 if not names:
                     raise self.error("expected basis names")
                 spec.basis_names = tuple(names)
-            elif t.text == "c":
+            elif t[1] == "c":
                 rank = self.need_rank(spec, t)
-                self.expect_sym("[")
+                self.expect("[")
                 i = self.expect_index(rank, "basis index")
-                self.expect_sym(",")
+                self.expect(",")
                 j = self.expect_index(rank, "basis index")
                 once(("c", min(i, j), max(i, j)), f"c[{i},{j}] or c[{j},{i}]", t)
-                self.expect_sym("]")
-                self.expect_sym("=")
+                self.expect("]")
+                self.expect("=")
                 for k, p in self._sum(base, lambda: self._basis_ref(rank)):
                     if i == j and not p.is_zero:
-                        raise SpecError("diagonal structure function must be zero",
-                                        t.line, t.col)
+                        raise self.error("diagonal structure function must be zero", t)
                     key = (i, j, k)
                     spec.structure[key] = spec.structure.get(
                         key, ExpPoly.zero(base)) + p
-            elif t.text == "rho":
+            elif t[1] == "rho":
                 rank = self.need_rank(spec, t)
-                self.expect_sym("[")
+                self.expect("[")
                 i = self.expect_index(rank, "basis index")
                 once(("rho", i), f"rho[{i}]", t)
-                self.expect_sym("]")
-                self.expect_sym("=")
+                self.expect("]")
+                self.expect("=")
                 for l, p in self._sum(base, lambda: self._derivation(base)):
                     key = (l, i)
                     spec.anchor[key] = spec.anchor.get(
                         key, ExpPoly.zero(base)) + p
             else:
-                raise SpecError(f"unknown algebroid entry {t.text!r}",
-                                t.line, t.col)
+                raise self.error(f"unknown algebroid entry {t[1]!r}", t)
             self.end_line()
 
     def _parse_cocycle(self, spec: SpecFile) -> None:
@@ -364,23 +353,22 @@ class _Parser:
         comps: Dict[int, ExpPoly] = {}
         for _ in self._section_lines():
             t = self.expect("ident", "cocycle entry")
-            if t.text != "phi":
-                raise SpecError(f"unknown cocycle entry {t.text!r}", t.line, t.col)
+            if t[1] != "phi":
+                raise self.error(f"unknown cocycle entry {t[1]!r}", t)
             rank = self.need_rank(spec, t)
-            self.expect_sym("[")
+            self.expect("[")
             i = self.expect_index(rank, "component index")
             if i in comps:
-                raise SpecError(f"second entry for phi[{i}]", t.line, t.col)
-            self.expect_sym("]")
-            self.expect_sym("=")
+                raise self.error(f"second entry for phi[{i}]", t)
+            self.expect("]")
+            self.expect("=")
             comps[i] = self.parse_expr(base)
             self.end_line()
         if comps:
             # the rank is known here, as it precedes every phi entry
             if max(comps) != spec.rank:
-                t = self.section_end
-                raise SpecError("cocycle components do not match the rank",
-                                t.line, t.col)
+                raise self.error("cocycle components do not match the rank",
+                                 self.section_end)
             spec.cocycle = tuple(comps.get(i, ExpPoly.zero(base))
                                  for i in range(1, spec.rank + 1))
 
@@ -389,124 +377,132 @@ class _Parser:
         seen = set()
         for _ in self._section_lines():
             t = self.expect("ident", "jacobi entry")
-            if t.text in seen:
-                raise SpecError(f"second entry for {t.text}", t.line, t.col)
-            seen.add(t.text)
-            self.expect_sym("=")
-            if t.text == "lambda":
+            if t[1] in seen:
+                raise self.error(f"second entry for {t[1]}", t)
+            seen.add(t[1])
+            self.expect("=")
+            if t[1] == "lambda":
                 spec.lam = self._multivector(chart, 2)
-            elif t.text == "efield":
+            elif t[1] == "efield":
                 spec.e_field = self._multivector(chart, 1)
             else:
-                raise SpecError(f"unknown jacobi entry {t.text!r}", t.line, t.col)
+                raise self.error(f"unknown jacobi entry {t[1]!r}", t)
             self.end_line()
 
     # -- expressions ---------------------------------------------------
 
     def parse_expr(self, chart: Chart) -> ExpPoly:
-        p = self._term(chart)
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance().text
-            q = self._term(chart)
+        p = self._product(chart)
+        toks = self.toks
+        while True:
+            op = toks[self.i][0]
+            if op != "+" and op != "-":
+                return p
+            self.i += 1
+            q = self._product(chart)
             p = p + q if op == "+" else p - q
-        return p
 
-    def _term(self, chart: Chart) -> ExpPoly:
-        p = self._factor(chart)
-        while self.at_sym("*"):
-            star = self.advance()
-            p = _times(p, self._factor(chart), star)
-        return p
-
-    def _factor(self, chart: Chart) -> ExpPoly:
-        negate = False
-        while self.at_sym("-"):
-            self.advance()
-            negate = not negate
-        p = self._atom(chart)
-        return -p if negate else p
-
-    def _atom(self, chart: Chart) -> ExpPoly:
-        t = self.cur
-        if t.kind == "number":
-            self.advance()
-            if "/" in t.text:
-                a, b = t.text.split("/")
-                a, b = _int(a, t), _int(b, t)
-                if b == 0:
-                    raise SpecError("zero denominator", t.line, t.col)
-                return ExpPoly.const(chart, Fraction(a, b))
-            return ExpPoly.const(chart, _int(t.text, t))
-        if self.at_sym("("):
-            if self.nesting == MAX_NESTING:
-                raise self.error(f"expression nested deeper than {MAX_NESTING} "
-                                 "parentheses")
-            self.advance()
-            self.nesting += 1
-            p = self.parse_expr(chart)
-            self.nesting -= 1
-            self.expect_sym(")")
-            return p
-        if t.kind == "ident":
-            if t.text == "exp":
-                self.advance()
-                self.expect_sym("(")
-                kt = self.cur
+    def _product(self, chart: Chart, coefficient: bool = False) -> ExpPoly:
+        """factor ('*' factor)*, factor := '-'* atom.  Literals, coordinate
+        powers and exp(k*t) multiply into one packed key, numerator and
+        denominator; only parenthesised factors go through the ring.  The
+        bound on exponents grows and is checked at each '*' as in
+        ExpPoly.__mul__, until a factor is zero.  A coefficient takes '-'
+        signs before its first factor only, may be empty (the value 1), and
+        ends at a '*' before a d/d or e_k token, which it consumes."""
+        toks = self.toks
+        key, num, den = 0, 1, 1
+        top = 0  # the bound on every exponent and |k| of the product
+        zero = False
+        polys: List[ExpPoly] = []  # the parenthesised factors
+        star = None  # the '*' before the current factor
+        while True:
+            if star is None or not coefficient:
+                while toks[self.i][0] == "-":
+                    self.i += 1
+                    num = -num
+            t = toks[self.i]
+            kind = t[0]
+            f = 0  # the factor's bound
+            if kind == "number":
+                self.i += 1
+                a, slash, b = t[1].partition("/")
+                a = self.int_of(a, t)
+                if slash:
+                    b = self.int_of(b, t)
+                    if not b:
+                        raise self.error("zero denominator", t)
+                    den *= b
+                num *= a
+                zero = zero or not a
+            elif kind == "ident" and t[1] == "exp":
+                self.i += 1
+                self.expect("(")
+                kt = toks[self.i]
                 k = self.expect_int("integer exponent")
-                self.expect_sym("*")
+                self.expect("*")
                 tv = self.expect("ident", "time coordinate")
-                if not chart.has_time or chart.names[chart.time_index] != tv.text:
-                    raise SpecError(
-                        f"{tv.text!r} is not the time coordinate of the patch",
-                        tv.line, tv.col)
-                self.expect_sym(")")
-                try:
-                    return ExpPoly.s_power(chart, k)
-                except FieldOverflowError as exc:
-                    raise SpecError(str(exc), kt.line, kt.col) from None
-            if not chart.has(t.text):
-                if self.full_chart.has(t.text):
-                    raise SpecError(
-                        f"fiber coordinate {t.text!r} not allowed in this section",
-                        t.line, t.col)
-                raise SpecError(f"undeclared coordinate {t.text!r}", t.line, t.col)
-            self.advance()
-            e, et = 1, t
-            if self.at_sym("^"):
-                self.advance()
-                et = self.cur
-                e = self.expect_int("exponent")
-                if e < 0:
-                    raise SpecError("negative exponent", t.line, t.col)
-            i = chart.index(t.text)
-            exps = tuple(e if j == i else 0 for j in range(chart.dim))
-            try:
-                return ExpPoly(chart, {(exps, 0): 1})
-            except FieldOverflowError as exc:
-                raise SpecError(str(exc), et.line, et.col) from None
-        raise self.error(f"expected an expression, found {t.text or 'end of input'!r}")
-
-    def _coefficient(self, chart: Chart):
-        """Product of scalar factors terminating at a d/d or e_k token;
-        returns (coefficient, negated?) -- empty coefficient means 1."""
-        sign = 1
-        while self.at_sym("-"):
-            self.advance()
-            sign = -sign
-        p = star = None
-        while self.cur.kind in ("number", "ident") or self.at_sym("("):
-            q = self._factor(chart)
-            p = q if p is None else _times(p, q, star)
-            if self.at_sym("*"):
-                nxt = self.toks[self.i + 1]
-                star = self.advance()
-                if nxt.kind in ("ddn", "basis"):
-                    break
-                continue
-            break
-        if p is None:
-            p = ExpPoly.const(chart, 1)
-        return p if sign > 0 else -p
+                if not chart.has_time or chart.names[chart.time_index] != tv[1]:
+                    raise self.error(
+                        f"{tv[1]!r} is not the time coordinate of the patch", tv)
+                self.expect(")")
+                f = self.fitted(abs(k), kt)
+                key += k
+            elif kind == "ident":
+                name = t[1]
+                if not chart.has(name):
+                    if self.full_chart.has(name):
+                        raise self.error(
+                            f"fiber coordinate {name!r} not allowed in this section", t)
+                    raise self.error(f"undeclared coordinate {name!r}", t)
+                self.i += 1
+                f = 1
+                if toks[self.i][0] == "^":
+                    self.i += 1
+                    et = toks[self.i]
+                    f = self.expect_int("exponent")
+                    if f < 0:
+                        raise self.error("negative exponent", t)
+                    self.fitted(f, et)
+                key += f * chart.units[chart.index(name)]
+            elif kind == "(":
+                if self.nesting == MAX_NESTING:
+                    raise self.error(f"expression nested deeper than {MAX_NESTING} "
+                                     "parentheses")
+                self.i += 1
+                self.nesting += 1
+                p = self.parse_expr(chart)
+                self.nesting -= 1
+                self.expect(")")
+                zero = zero or p.is_zero
+                polys.append(p)
+                f = p.top
+            elif coefficient:
+                break
+            else:
+                raise self.error(f"expected an expression, found "
+                                 f"{t[1] or 'end of input'!r}")
+            if f and not zero:
+                top += f
+                if top >= LIMIT:
+                    raise self.error(str(_past_the_field(top)), toks[star])
+            if toks[self.i][0] != "*":
+                break
+            star = self.i
+            self.i += 1
+            if coefficient and toks[self.i][0] in ("ddn", "basis"):
+                break
+        if zero:
+            return ExpPoly.zero(chart)
+        atoms_top = top - sum(p.top for p in polys)
+        if polys and not key and num == den and not atoms_top:
+            p, polys = polys[0], polys[1:]  # the atoms multiply to 1
+        else:
+            g = gcd(num, den)
+            p = ExpPoly._make(chart, {key: num // g}, den // g, atoms_top)
+        for q in polys:
+            p = p * q
+        return p
 
     def _sum(self, chart: Chart,
              symbol: Callable[[], Any]) -> List[Tuple[Any, ExpPoly]]:
@@ -514,44 +510,45 @@ class _Parser:
         (key, coeff) pairs; symbol() reads one e_k, d/dx or d/dx^d/dy...
         and returns its key."""
         out: List[Tuple[Any, ExpPoly]] = []
-        if self.cur.kind == "number" and self.cur.text == "0" \
-                and self.toks[self.i + 1].kind in ("nl", "eof"):
-            self.advance()
+        toks = self.toks
+        if toks[self.i][:2] == ("number", "0") \
+                and toks[self.i + 1][0] in ("nl", "eof"):
+            self.i += 1
             return out
         while True:
-            p = self._coefficient(chart)
+            p = self._product(chart, coefficient=True)
             out.append((symbol(), p))
-            if self.at_sym("+"):
-                self.advance()
-            elif not self.at_sym("-"):  # a minus is read as a sign by _coefficient
+            op = toks[self.i][0]
+            if op == "+":
+                self.i += 1
+            elif op != "-":  # a minus is read as a sign by the next coefficient
                 return out
 
     def _basis_ref(self, rank: int) -> int:
         t = self.expect("basis", "basis reference e_<k>")
-        k = _int(t.text[2:], t)
+        k = self.int_of(t[1][2:], t)
         if not 1 <= k <= rank:
-            raise SpecError(f"basis index {k} out of range", t.line, t.col)
+            raise self.error(f"basis index {k} out of range", t)
         return k
 
     def _derivation(self, chart: Chart) -> int:
         t = self.expect("ddn", "derivation d/d<coordinate>")
-        name = t.text[3:]
+        name = t[1][3:]
         if not chart.has(name):
-            raise SpecError(f"undeclared coordinate {name!r}", t.line, t.col)
+            raise self.error(f"undeclared coordinate {name!r}", t)
         return chart.index(name)
 
     def _derivations(self, chart: Chart, grade: int) -> Tuple[int, ...]:
         """d/dx^d/dy^... with exactly `grade` factors."""
         idx = []
         while True:
-            t = self.cur
+            t = self.toks[self.i]
             idx.append(self._derivation(chart))
-            if not self.at_sym("^"):
+            if self.toks[self.i][0] != "^":
                 break
-            self.advance()
+            self.i += 1
         if len(idx) != grade:
-            raise SpecError(f"expected a grade-{grade} term, got {len(idx)} factors",
-                            t.line, t.col)
+            raise self.error(f"expected a grade-{grade} term, got {len(idx)} factors", t)
         return tuple(idx)
 
     def _multivector(self, chart: Chart, grade: int) -> Multivector:
@@ -562,24 +559,14 @@ class _Parser:
         return Multivector(chart, grade, comps)
 
 
-def _times(p: ExpPoly, q: ExpPoly, star: Token) -> ExpPoly:
-    """p * q, whose exponents past the ring's field width are an error at
-    the '*' token."""
-    try:
-        return p * q
-    except FieldOverflowError as exc:
-        raise SpecError(str(exc), star.line, star.col) from None
-
-
 def parse_expression(text: str, chart: Chart) -> ExpPoly:
     """Parse a single scalar expression against an existing chart."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     p.full_chart = chart
     p.skip_blank()
     out = p.parse_expr(chart)
     p.skip_blank()
-    if p.cur.kind != "eof":
-        raise p.error(f"trailing input {p.cur.text!r}")
+    p.end_line()  # past the blank lines, only the end of input may follow
     return out
 
 
@@ -590,7 +577,7 @@ def parse_spec(text) -> SpecFile:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SpecError(f"not valid UTF-8: {exc.reason}", 1, 1)
-    return _Parser(_tokenize(text)).parse_file()
+    return _Parser(text).parse_file()
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,26 @@ def test_a_common_denominator_reduces_to_lowest_terms():
     assert (half - half).den == 1 and (half - half).is_zero
 
 
+def test_degrees_and_fiber_predicates_agree_with_the_reference():
+    rng = random.Random(111)
+    for chart in REF_CHARTS:
+        fib = chart.fiber_indices
+        for _ in range(40):
+            a = _ref_clean(_ref_poly(rng, chart))
+            p = ExpPoly(chart, a)
+            fiber = [sum(exps[i] for i in fib) for exps, _ in a]
+            assert p.total_degree() == max((sum(exps) for exps, _ in a), default=0)
+            assert p.fiber_degree() == max(fiber, default=None)
+            assert p.is_basic() == all(d == 0 for d in fiber)
+            assert p.is_linear() == (bool(fiber) and all(d == 1 for d in fiber))
+
+
+def test_zero_transfers_to_the_target_zero_whatever_the_charts():
+    small = Chart((("y", "base"),))  # neither x nor a time coordinate
+    z = ExpPoly.zero(XTMU).transfer(small)
+    assert z.chart == small and z.is_zero and z == ExpPoly.zero(small)
+
+
 # -- the field guard ----------------------------------------------------------
 
 YX = Chart((("y", "base"), ("x", "base"), ("t", "time")))

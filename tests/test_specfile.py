@@ -1,5 +1,6 @@
 """Text format: tokenizer, recursive-descent parser, canonical renderer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -272,3 +273,165 @@ def test_exponents_past_the_field_width_fail_at_the_star_before_a_symbol():
             "  rho[1] = x^4611686018427387904*x^4611686018427387904*d/dx\nend\n")
     line, col, message = _error_at(text)
     assert (line, col) == (6, 33) and "exponent" in message
+
+
+_LONG_LINE = ("  efield = " + " + ".join(f"({i})*d/dx" for i in range(1, 12))
+              + " + (x^-1)*d/dx")
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # a column counts characters from the start of the line, a tab being one
+    ("patch\t# coordinates\n\tx\tbase\nend\n# the structure\njacobi\n"
+     "\tefield =\t(2)*d/dx\t# fine\n\tlambda = \t(1)*d/dx^d/dx ^ @\nend\n",
+     7, 28, "unexpected character '@'"),
+    ("patch\n\tx\tbase\t\tfiber\nend\n", 2, 10, "trailing input 'fiber'"),
+    ("patch\r\n  x base\r\nend\r\n", 1, 6, "unexpected character '\\r'"),
+    ("patch\n  x base\n  é fiber\nend\n", 3, 3, "unexpected character 'é'"),
+    ("# été\npatch\n  x bass\nend\n", 3, 5, "unknown role 'bass'"),
+    ("algebroid\n  rank 2\n  c[1,2] = (1)*e_9", 3, 16, "basis index 9 out of range"),
+    ("algebroid\n  rank 2", 2, 9, "section not closed by 'end'"),
+    ("algebroid\n  rank 2\n  c[1,2] = (1", 3, 14, "expected ')', found 'end of input'"),
+    ("patch\n  x base\nend\njacobi\n  efield = (1)*d/dx +\n",
+     5, 22, "expected derivation d/d<coordinate>, found '\\n'"),
+    ("patch\n  x base\nend\njacobi\n" + _LONG_LINE + "\nend\n",
+     5, 136, "negative exponent"),    # a coefficient takes '-' signs before its first factor only
+    ("patch\n  x base\nend\njacobi\n  efield = 2*-x*d/dx\nend\n",
+     5, 14, "expected derivation d/d<coordinate>, found '-'"),
+    ("patch\n  x base\nend\njacobi\n  efield = -2*x*+d/dx\nend\n",
+     5, 17, "expected derivation d/d<coordinate>, found '+'"),
+])
+def test_error_positions_are_pinned(text, line, col, message):
+    assert _error_at(text) == (line, col, message)
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("", 1, 1, "expected an expression, found 'end of input'"),
+    ("   ", 1, 4, "expected an expression, found 'end of input'"),
+    ("# nothing\n", 2, 1, "expected an expression, found 'end of input'"),
+    ("\t\tx @", 1, 5, "unexpected character '@'"),
+])
+def test_expression_error_positions_are_pinned(text, line, col, message):
+    with pytest.raises(SpecError) as info:
+        parse_expression(text, Chart((("x", "base"),)))
+    assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("text", ["", " \n# only a comment\n\t",
+                                  "patch # a comment may hold \r\nend\n"])
+def test_files_without_sections_parse_empty(text):
+    spec = parse_spec(text)
+    assert (spec.chart.dim, spec.rank, spec.cocycle, spec.lam) == (0, None, None, None)
+
+
+# -- expression trees: the parser against ExpPoly arithmetic ---------------
+
+TREE_CHART = Chart((("x", "base"), ("y", "base"), ("mu", "fiber"), ("t", "time")))
+_LITERALS = ("0", "1", "7", "12", "3/4", "0/5", "6/4", "1/3")
+
+
+def _blank(rng):
+    return rng.choice(("", "", "", " ", "\t"))
+
+
+def _atom(rng, depth):
+    """(text, value) of one atom: a literal, a coordinate power, exp(k*t)
+    or, while depth lasts, a parenthesised expression."""
+    r = rng.random()
+    if depth and r < 0.2:
+        text, value = _tree(rng, depth - 1)
+        return f"({text})", value
+    if r < 0.45:
+        text = rng.choice(_LITERALS)
+        return text, ExpPoly.const(TREE_CHART, Fraction(text))
+    if r < 0.8:
+        name = rng.choice(("x", "y", "mu"))
+        e = rng.choice((None, 0, 1, 2, 3))
+        var = ExpPoly.var(TREE_CHART, name)
+        if e is None:
+            return name, var
+        value = ExpPoly.const(TREE_CHART, 1)
+        for _ in range(e):
+            value = value * var
+        return f"{name}^{e}", value
+    k = rng.randint(-3, 3)
+    return f"exp({k}*t)", ExpPoly.s_power(TREE_CHART, k)
+
+
+def _product_tree(rng, depth, signed_factors=True):
+    """factor ('*' factor)*, factor := '-'* atom; with signed_factors
+    False only the first factor carries signs, as in a coefficient."""
+    texts, value = [], ExpPoly.const(TREE_CHART, 1)
+    for n in range(rng.randint(1, 4)):
+        signs = rng.choice((0, 0, 0, 1, 2, 3)) if signed_factors or not n else 0
+        text, v = _atom(rng, depth)
+        texts.append("-" * signs + text)
+        value = value * (-v if signs % 2 else v)
+    return f"{_blank(rng)}*{_blank(rng)}".join(texts), value
+
+
+def _tree(rng, depth):
+    text, value = _product_tree(rng, depth)
+    for _ in range(rng.randint(0, 3)):
+        term, v = _product_tree(rng, depth)
+        if rng.random() < 0.5:
+            text, value = f"{text}{_blank(rng)}+{_blank(rng)}{term}", value + v
+        else:
+            text, value = f"{text}{_blank(rng)}-{_blank(rng)}{term}", value - v
+    return text, value
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parsed_expression_trees_equal_their_ring_values(seed):
+    rng = random.Random(f"trees/{seed}")
+    for _ in range(60):
+        text, value = _tree(rng, 3)
+        assert parse_expression(text, TREE_CHART) == value, text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parsed_coefficient_sums_equal_their_ring_values(seed):
+    rng = random.Random(f"coefficients/{seed}")
+    names = ("x", "y", "mu", "t")
+    for _ in range(40):
+        parts, comps = [], {}
+        for n in range(rng.randint(1, 4)):
+            i = rng.randrange(4)
+            if rng.random() < 0.2:
+                text, value = "", ExpPoly.const(TREE_CHART, 1)  # an empty coefficient
+            else:
+                text, value = _product_tree(rng, 2, signed_factors=False)
+                text += "*"
+            if n and rng.random() < 0.5:
+                parts.append(f" - {text}d/d{names[i]}")
+                value = -value
+            else:
+                parts.append(f" + {text}d/d{names[i]}" if n else f"{text}d/d{names[i]}")
+            comps[(i,)] = comps.get((i,), ExpPoly.zero(TREE_CHART)) + value
+        text = ("patch\n  x base\n  y base\n  mu fiber\n  t time\nend\n"
+                "jacobi\n  efield = " + "".join(parts) + "\nend\n")
+        expected = {k: v for k, v in comps.items() if not v.is_zero}
+        assert parse_spec(text).e_field.comps == expected, text
+
+
+_A = 2**62
+
+
+@pytest.mark.parametrize("expr, outcome", [
+    (f"2*x^{_A}*x^{_A}", 24),       # the second '*'
+    (f"x^{_A}*(x^{_A})", 22),       # the '*' before the parenthesis
+    (f"x^{_A}*y^{_A}", 22),         # the bound adds up across coordinates
+    (f"exp({_A}*t)*x^{_A}", 27),    # and |k| counts as an exponent
+    (f"0*x^{_A}*x^{_A}", "0"),      # a zero product ends the checks
+    (f"x^{_A}*(x-x)*x^{_A}", "0"),
+    (f"2*x^{_A}*x^{_A - 1}", "2*x^9223372036854775807"),
+])
+def test_products_near_the_field_width(expr, outcome):
+    """An int outcome is the column of the error, a str the rendered value."""
+    if isinstance(outcome, str):
+        assert parse_expression(expr, TREE_CHART).render() == outcome
+        return
+    with pytest.raises(SpecError) as info:
+        parse_expression(expr, TREE_CHART)
+    assert (info.value.line, info.value.col) == (1, outcome)
+    assert info.value.message == ("a product exponent may reach 9223372036854775808, "
+                                  "past the 64-bit field (exponents < 2^63)")
