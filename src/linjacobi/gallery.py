@@ -8,14 +8,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .chart import Chart
 from .ring import ExpPoly
 from .exterior import (DiffForm, GradeError, Multivector, check_nondegenerate,
                        sn_bracket)
-from .algebroid import (AlgebroidError, AlgebroidPatch, Cocycle,
-                        cotangent_algebroid, jacobi_algebroid)
+from .algebroid import (AlgebroidPatch, Cocycle, cotangent_algebroid,
+                        jacobi_algebroid)
 from .jacobi import (JacobiStructure, check_C1, check_C2, contact_to_jacobi,
                      verify_jacobi)
 from .correspondence import (AlgebroidWithCocycle, _poissonize, hat_algebroid,
@@ -39,7 +39,8 @@ CATALOG = (
 @dataclass(frozen=True)
 class GalleryCase:
     """A named example with its inputs, hand-derived expected forms
-    (rendered canonical strings), and an executable checklist."""
+    (rendered canonical strings), and the checks that only this case
+    carries; run_case adds them to the checklist common to every case."""
 
     name: str
     pair: Optional[AlgebroidWithCocycle] = None
@@ -48,6 +49,9 @@ class GalleryCase:
     contact: Optional[DiffForm] = None
     expected: Mapping[str, str] = field(default_factory=dict)
     expected_verdicts: Mapping[str, str] = field(default_factory=dict)
+    # (name, f(J, P) -> residual lines): J is the forward map of the pair
+    # and P its poissonization
+    checks: Tuple[Tuple[str, Callable[..., List[str]]], ...] = ()
 
     def run(self) -> Report:
         return run_case(self)
@@ -211,13 +215,19 @@ def build_case(name: str) -> GalleryCase:
         lam = Multivector(dual, 2, {(2, 0): one, (3, 1): one,
                                     (2, 3): _poly(dual, [(-1, "mu2")])})
         e = Multivector(dual, 1, {(2,): _poly(dual, -1)})
+
+        def nondegenerate(J, P):
+            verdict = check_nondegenerate(J.lam)
+            return [] if verdict == "nondegenerate_constant" else [verdict]
         return GalleryCase(name, pair=pair, dual=dual,
-                           expected={"lambda": lam.render(), "efield": e.render()})
+                           expected={"lambda": lam.render(), "efield": e.render()},
+                           checks=(("nondegenerate", nondegenerate),))
 
     if head == "tangent_lift_so3star" and arg is None:
         base = Chart((("x1", "base"), ("x2", "base"), ("x3", "base")))
         v = lambda n: ExpPoly.var(base, n)
-        L = _so3star_bivector(base)
+        L = Multivector(base, 2, {(0, 1): v("x3"), (0, 2): -v("x2"),
+                                  (1, 2): v("x1")})
         A = cotangent_algebroid(L)
         # the rotation field x2 d/dx1 - x1 d/dx2 preserves L
         X = Multivector(base, 1, {(0,): v("x2"), (1,): -v("x1")})
@@ -225,11 +235,13 @@ def build_case(name: str) -> GalleryCase:
         pair = AlgebroidWithCocycle(A, phi)
         dual = A.dual_chart([n + "dot" for n in base.names])
         L_c, _ = complete_vertical_lift(L)
-        X_c, X_v = complete_vertical_lift(X)
+        _, X_v = complete_vertical_lift(X)
         lam = L_c + liouville(dual).wedge(X_v.transfer(dual))
         return GalleryCase(name, pair=pair, dual=dual,
                            expected={"lambda": lam.render(),
-                                     "efield": (-X_v.transfer(dual)).render()})
+                                     "efield": (-X_v.transfer(dual)).render()},
+                           checks=(("automorphism",
+                                    lambda J, P: _residual(sn_bracket(X, L))),))
 
     if head == "contact_R":
         if arg is None or arg < 1:
@@ -239,10 +251,16 @@ def build_case(name: str) -> GalleryCase:
         for l in range(arg):
             eta_comps[(l,)] = ExpPoly.var(dual, f"mu{l + 1}")
         eta = DiffForm(dual, 1, eta_comps)
-        J = contact_to_jacobi(eta)
+        Jc = contact_to_jacobi(eta)
+
+        def contact_match(J, P):
+            return [] if Jc == J else [
+                f"lambda diff {(Jc.lam - J.lam).render()}",
+                f"E diff {(Jc.e_field - J.e_field).render()}"]
         return GalleryCase(name, pair=pair, dual=dual, contact=eta,
-                           expected={"lambda": J.lam.render(),
-                                     "efield": J.e_field.render()})
+                           expected={"lambda": Jc.lam.render(),
+                                     "efield": Jc.e_field.render()},
+                           checks=(("contact_match", contact_match),))
 
     if head == "jacobi_lift_R" and arg is None:
         base = Chart((("x", "base"),))
@@ -255,13 +273,37 @@ def build_case(name: str) -> GalleryCase:
         lam = Multivector(dual, 2, {(2, 0): one,
                                     (1, 2): ExpPoly.var(dual, "t")})
         e = Multivector(dual, 1, {(1,): one})
+
+        def lift_formula(J, P):
+            # (d/dt ^ (E^c - t E^v), E^v) on the dual chart (x, xdot, t)
+            E_c, E_v = (T.transfer(J.chart) for T in complete_vertical_lift(E))
+            dt = Multivector.basis(J.chart, "t")
+            t = ExpPoly.var(J.chart, "t")
+            lam = dt.wedge(E_c) - t * dt.wedge(E_v)
+            return [r.render() for r in (lam - J.lam, E_v - J.e_field)
+                    if not r.is_zero]
         return GalleryCase(name, pair=pair, dual=dual,
-                           expected={"lambda": lam.render(), "efield": e.render()})
+                           expected={"lambda": lam.render(), "efield": e.render()},
+                           checks=(("lift_formula", lift_formula),))
 
     if head == "poissonization_aff1" and arg is None:
         case = build_case("aff1(2)")
+
+        def hat_recovered(J, P):
+            # this case's chart has no t, so P was built with time_name "t"
+            hat = hat_algebroid(case.pair)
+            back = psi_inverse(
+                JacobiStructure.poisson(P.transfer(hat.dual_chart(
+                    list(J.chart.fiber_names)))))
+            bad = []
+            if not back.algebroid.same_structure(hat):
+                bad.append("structure mismatch")
+            if not back.cocycle.is_zero:
+                bad.append("nonzero cocycle recovered")
+            return bad
         return GalleryCase(name, pair=case.pair, dual=case.dual,
-                           expected=dict(case.expected))
+                           expected=dict(case.expected),
+                           checks=(("hat_recovered", hat_recovered),))
 
     if head == "remark_counterexample" and arg is None:
         chart = Chart((("x", "fiber"), ("y", "fiber")))
@@ -292,8 +334,7 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
     rep.extend(pair.algebroid_report, "algebroid.")
     rep.extend(pair.cocycle_report, "cocycle.")
     J = psi_forward(pair, case.dual)
-    jacobi_rep = verify_jacobi(J)
-    rep.extend(jacobi_rep, "jacobi.")
+    rep.extend(verify_jacobi(J), "jacobi.")
 
     with rep.timed("expected_lambda") as bad:
         got = J.lam.render()
@@ -307,74 +348,22 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
     rep.extend(roundtrip_check(pair), "roundtrip.")
 
     time_name = "tau" if J.chart.has("t") else "t"
-    if not jacobi_rep.passed:
-        raise AlgebroidError("input is not a Jacobi structure")
     P = _poissonize(J, time_name)
     with rep.timed("poissonization_poisson") as bad:
-        res = sn_bracket(P, P)
-        if not res.is_zero:
-            bad.append(res.render())
+        bad.extend(_residual(sn_bracket(P, P)))
     with rep.timed("poissonization_matches_dual") as bad:
         hat = hat_algebroid(pair, time_name)
         Lhat = linear_poisson_dual(hat, hat.dual_chart(list(J.chart.fiber_names)))
-        res = Lhat - P.transfer(Lhat.chart)
-        if not res.is_zero:
-            bad.append(res.render())
+        bad.extend(_residual(Lhat - P.transfer(Lhat.chart)))
 
-    if case.contact is not None:
-        with rep.timed("contact_match") as bad:
-            Jc = contact_to_jacobi(case.contact)
-            if Jc != J:
-                bad.append(f"lambda diff {(Jc.lam - J.lam).render()}")
-                bad.append(f"E diff {(Jc.e_field - J.e_field).render()}")
-
-    if case.name == "lcs_T*R2":
-        with rep.timed("nondegenerate") as bad:
-            verdict = check_nondegenerate(J.lam)
-            if verdict != "nondegenerate_constant":
-                bad.append(verdict)
-
-    if case.name == "tangent_lift_so3star":
-        with rep.timed("automorphism") as bad:
-            base = pair.algebroid.base_chart
-            X = Multivector(base, 1,
-                            {(i,): p for i, p in enumerate(pair.cocycle.components)
-                             if not p.is_zero})
-            res = sn_bracket(X, _so3star_bivector(base))
-            if not res.is_zero:
-                bad.append(res.render())
-
-    if case.name == "jacobi_lift_R":
-        with rep.timed("lift_formula") as bad:
-            base = pair.algebroid.base_chart
-            E = Multivector(base, 1, {(0,): ExpPoly.const(base, 1)})
-            E_c, E_v = complete_vertical_lift(E)
-            tangent = E_c.chart
-            ext = Chart(tangent.coords + (("t", "fiber"),))
-            dt = Multivector.basis(ext, "t")
-            t = ExpPoly.var(ext, "t")
-            lam = dt.wedge(E_c.transfer(ext)) - t * dt.wedge(E_v.transfer(ext))
-            lam = lam.transfer(J.chart)
-            res = (lam - J.lam, E_v.transfer(ext).transfer(J.chart) - J.e_field)
-            bad.extend(r.render() for r in res if not r.is_zero)
-
-    if case.name == "poissonization_aff1":
-        with rep.timed("hat_recovered") as bad:
-            # this case's chart has no t, so P was built with time_name "t"
-            hat = hat_algebroid(pair)
-            back = psi_inverse(
-                JacobiStructure.poisson(P.transfer(hat.dual_chart(
-                    list(J.chart.fiber_names)))))
-            if not back.algebroid.same_structure(hat):
-                bad.append("structure mismatch")
-            if not back.cocycle.is_zero:
-                bad.append("nonzero cocycle recovered")
+    for name, check in case.checks:
+        with rep.timed(name) as bad:
+            bad.extend(check(J, P))
 
 
-def _so3star_bivector(base: Chart) -> Multivector:
-    v = lambda n: ExpPoly.var(base, n)
-    return Multivector(base, 2, {(0, 1): v("x3"), (0, 2): -v("x2"),
-                                 (1, 2): v("x1")})
+def _residual(res) -> List[str]:
+    """The residual line of a result that should be zero."""
+    return [] if res.is_zero else [res.render()]
 
 
 def _run_jacobi(case: GalleryCase, rep: Report) -> None:

@@ -167,6 +167,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0  # index of the current token
         self.full_chart = SpecFile.chart  # the empty chart until a patch
+        self.base = SpecFile.chart  # its base and time coordinates
         self.section_end: Optional[_Tok] = None  # `end` of the last section
         self.nesting = 0  # open parentheses around the current factor
 
@@ -279,21 +280,28 @@ class _Parser:
 
     def _parse_patch(self, spec: SpecFile) -> None:
         coords: List[Tuple[str, str]] = []
+        name_toks: List[_Tok] = []
         for _ in self._section_lines():
-            name = self.expect("ident", "coordinate name")[1]
+            name_toks.append(self.expect("ident", "coordinate name"))
             role_tok = self.expect("ident", "coordinate role")
             if role_tok[1] not in ("base", "fiber", "time"):
                 raise self.error(f"unknown role {role_tok[1]!r}", role_tok)
-            coords.append((name, role_tok[1]))
+            coords.append((name_toks[-1][1], role_tok[1]))
             self.end_line()
         try:
-            spec.chart = Chart(tuple(coords))
+            spec.chart = Chart(coords)
         except ChartError as exc:
-            raise self.error(str(exc))
+            # at the first coordinate line that no chart can take
+            for k, t in enumerate(name_toks):
+                try:
+                    Chart(coords[:k + 1])
+                except ChartError:
+                    raise self.error(str(exc), t) from None
         self.full_chart = spec.chart
+        self.base = spec.base_chart()
 
     def _parse_algebroid(self, spec: SpecFile) -> None:
-        base = spec.base_chart()
+        base = self.base
         seen = set()
 
         def once(key, name: str, t: _Tok) -> None:
@@ -349,7 +357,7 @@ class _Parser:
             self.end_line()
 
     def _parse_cocycle(self, spec: SpecFile) -> None:
-        base = spec.base_chart()
+        base = self.base
         comps: Dict[int, ExpPoly] = {}
         for _ in self._section_lines():
             t = self.expect("ident", "cocycle entry")

@@ -10,7 +10,8 @@ from linjacobi import (AlgebroidError, AlgebroidPatch, AlgebroidWithCocycle,
                        JacobiStructure, Multivector, build_case, check_C1,
                        check_C2, forward_report,
                        hat_algebroid, jacobi_bracket, linear_poisson_dual,
-                       liouville, poissonization, psi_forward, psi_inverse,
+                       liouville, parse_expression, poissonization,
+                       psi_forward, psi_inverse,
                        roundtrip_check, sn_bracket, verify_algebroid,
                        verify_jacobi, vertical_lift)
 from linjacobi.correspondence import _recover
@@ -225,3 +226,20 @@ def test_hat_of_zero_cocycle_keeps_structure_shape():
     s_inv = ExpPoly.s_power(hat.base_chart, -1)
     assert hat.c(1, 2, 2) == s_inv
     assert not any(l == hat.base_chart.index("t") for (l, _) in hat.anchor)
+
+
+@pytest.mark.parametrize("idx, coeff, failing", [
+    ((2, 3), "mu1", {"bracket_linear_linear": "(1,2): 1*mu1"}),
+    ((0, 2), "1", {"bracket_linear_basic": "(1,x1): -1"}),
+    ((0, 1), "1", {"bracket_basic_basic": "(x1,x2): 1"}),
+])
+def test_forward_report_catches_a_J_that_is_not_the_forward_map(idx, coeff, failing):
+    """trivial_tangent(2) on (x1, x2, mu1, mu2), with one component of
+    Lambda moved off the forward map."""
+    case = build_case("trivial_tangent(2)")
+    J = psi_forward(case.pair, case.dual)
+    d = J.chart
+    moved = Multivector(d, 2, {idx: parse_expression(coeff, d)})
+    rep = forward_report(case.pair, JacobiStructure(d, J.lam + moved, J.e_field))
+    assert {c.name: c.residual for c in rep.checks
+            if c.name.startswith("bracket_") and c.verdict != "pass"} == failing

@@ -1,14 +1,17 @@
 """The curated example catalog and the tangent-lift formulas."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from linjacobi import (CATALOG, Chart, ExpPoly, GalleryError, Multivector,
-                       build_case, complete_vertical_lift,
+from linjacobi import (CATALOG, AlgebroidWithCocycle, Chart, Cocycle, ExpPoly,
+                       GalleryError, JacobiStructure, Multivector, build_case,
+                       complete_vertical_lift, contact_to_jacobi,
                        cotangent_algebroid, linear_poisson_dual, psi_forward,
                        run_case, verify_algebroid, verify_jacobi)
+from linjacobi import gallery
 
 from conftest import base_chart, count_calls, random_multivector, random_poly
 
@@ -167,3 +170,44 @@ def test_contact_case_agrees_with_forward_map():
     J = psi_forward(case.pair, case.dual)
     assert J.lam.render() == case.expected["lambda"]
     assert J.e_field.render() == case.expected["efield"]
+
+
+def test_contact_case_solves_its_contact_form_once(monkeypatch):
+    calls = count_calls(monkeypatch, contact_to_jacobi)
+    assert run_case(build_case("contact_R(2)")).passed
+    assert len(calls) == 1
+
+
+def test_non_jacobi_forward_map_fails_the_poissonization_and_the_report_runs_on(
+        monkeypatch):
+    case = build_case("tangent_lift_so3star")
+    names = [c.name for c in run_case(case).checks]
+
+    def not_jacobi(pair, dual):
+        J = psi_forward(pair, dual)
+        return JacobiStructure(J.chart, J.lam,
+                               J.e_field + Multivector.basis(J.chart, "x1dot"))
+
+    monkeypatch.setattr(gallery, "psi_forward", not_jacobi)
+    rep = run_case(case)
+    assert [c.name for c in rep.checks] == names
+    assert rep.check("jacobi.compatibility").verdict == "fail"
+    assert rep.check("poissonization_poisson").verdict == "fail"
+    assert rep.check("automorphism").verdict == "pass"
+
+
+def test_case_checks_report_their_failures_and_the_checklist_runs_on():
+    """contact_R(1) with another valid constant cocycle: its forward map is
+    no longer the contact structure the case expects."""
+    case = build_case("contact_R(1)")
+    A = case.pair.algebroid
+    moved = dataclasses.replace(case, pair=AlgebroidWithCocycle(
+        A, Cocycle.from_scalars(A.base_chart, (0, -2))))
+    rep = run_case(moved)
+    assert [c.name for c in rep.checks] == [c.name for c in run_case(case).checks]
+    assert {c.name: c.residual for c in rep.checks if c.verdict != "pass"} == {
+        "expected_lambda": "got -1 d/dx1^d/dmu1 + -2*mu1 d/dmu1^d/dt, "
+                           "expected -1 d/dx1^d/dmu1 + -1*mu1 d/dmu1^d/dt",
+        "expected_efield": "got 2 d/dt, expected 1 d/dt",
+        "contact_match": "lambda diff 1*mu1 d/dmu1^d/dt; E diff -1 d/dt",
+    }

@@ -227,3 +227,24 @@ def test_contact_bivector_pairs_flats_to_d_eta(make_eta):
     for a, Xa in enumerate(basis):
         for b, Xb in enumerate(basis):
             assert pairing(lam, flats[a], flats[b]) == interior(Xa.wedge(Xb), deta)
+
+
+def _C1_failures(chart, lam, e):
+    rep = check_C1(JacobiStructure(chart, Multivector(chart, 2, lam),
+                                   Multivector(chart, 1, e)))
+    return [(c.name, c.residual) for c in rep.checks if c.verdict != "pass"]
+
+
+def test_each_C1_linearity_check_fails_alone_with_its_residual():
+    ch = Chart((("mu", "fiber"), ("nu", "fiber")))
+    mu_nu = ExpPoly.var(ch, "mu") * ExpPoly.var(ch, "nu")
+    assert _C1_failures(ch, {(0, 1): mu_nu}, {}) == [
+        ("fiber_fiber_linear", "{mu,nu} = 1*mu*nu")]
+    ch = Chart((("x", "base"), ("y", "base"), ("mu", "fiber")))
+    assert _C1_failures(ch, {(0, 1): ExpPoly.const(ch, 1)}, {}) == [
+        ("base_base_zero", "{x,y} = 1")]
+    # E = d/dx alone would make {mu,x} = mu; Lambda^{x mu} = mu cancels it
+    ch = Chart((("x", "base"), ("mu", "fiber")))
+    assert _C1_failures(ch, {(0, 1): ExpPoly.var(ch, "mu")},
+                        {(0,): ExpPoly.const(ch, 1)}) == [
+        ("base_one_zero", "{x,1} = -1")]

@@ -305,6 +305,53 @@ def test_error_positions_are_pinned(text, line, col, message):
 
 
 @pytest.mark.parametrize("text, line, col, message", [
+    ("algebroid\n  rank 1\nend\nalgebroid\n  rank 1\nend\n",
+     4, 1, "duplicate section 'algebroid'"),
+    ("algebroid\n  rank 0\nend\n", 2, 3, "rank must be positive"),
+    ("algebroid\n  rank 3/2\nend\n", 2, 8, "expected rank, found rational '3/2'"),
+    ("algebroid\n  basis\nend\n", 2, 8, "expected basis names"),
+    ("algebroid\n  rank 1\n  anchor = 0\nend\n",
+     3, 3, "unknown algebroid entry 'anchor'"),
+    ("algebroid\n  rank 1\nend\ncocycle\n  psi[1] = 0\nend\n",
+     5, 3, "unknown cocycle entry 'psi'"),
+    ("patch\n  x base\nend\njacobi\n  sigma = 0\nend\n",
+     5, 3, "unknown jacobi entry 'sigma'"),
+    ("algebroid\n  rank 1\nend\ncocycle\n  phi[1] = 1/0\nend\n",
+     5, 12, "zero denominator"),
+    ("patch\n  x base\nend\njacobi\n  lambda = (1)*d/dx\nend\n",
+     5, 16, "expected a grade-2 term, got 1 factors"),
+])
+def test_entry_and_section_errors_are_pinned(text, line, col, message):
+    assert _error_at(text) == (line, col, message)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("patch\n  x base\n  x fiber\nend\n\n", 3,
+     "duplicate coordinate names in ['x', 'x']"),
+    ("patch\n  x base\n  y fiber\n  x fiber\n  z base\nend\n", 4,
+     "duplicate coordinate names in ['x', 'y', 'x', 'z']"),
+    ("patch\n  s time\n  t time\nend\njacobi\n  lambda = 0\nend\n", 3,
+     "at most one time coordinate is allowed"),
+])
+def test_invalid_patch_fails_at_the_coordinate_line_that_breaks_it(text, line, message):
+    """Not at the token after the section's `end`."""
+    assert _error_at(text) == (line, 3, message)
+
+
+def test_parser_builds_the_base_chart_once(monkeypatch):
+    from linjacobi import specfile
+    text = ("patch\n  x base\n  mu fiber\nend\nalgebroid\n  rank 1\n"
+            "  rho[1] = (1)*d/dx\nend\ncocycle\n  phi[1] = x\nend\n")
+    restricted = []
+    restrict = Chart.restrict
+    monkeypatch.setattr(Chart, "restrict",
+                        lambda self, roles: restricted.append(roles) or restrict(self, roles))
+    spec = specfile.parse_spec(text)
+    assert len(restricted) == 1
+    assert spec.to_cocycle().components[0].chart == spec.base_chart()
+
+
+@pytest.mark.parametrize("text, line, col, message", [
     ("", 1, 1, "expected an expression, found 'end of input'"),
     ("   ", 1, 4, "expected an expression, found 'end of input'"),
     ("# nothing\n", 2, 1, "expected an expression, found 'end of input'"),
