@@ -4,11 +4,11 @@ Poisson bivector, the algebroid T*M x R of a Jacobi pair)."""
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .chart import Chart
-from .ring import ExpPoly, Scalar
-from .exterior import GradeError, Multivector, sn_bracket
+from .ring import ExpPoly, Scalar, sum_of_products
+from .exterior import GradeError, Multivector, Products, _sums, sn_bracket
 from .report import Report
 
 
@@ -161,13 +161,25 @@ class Section:
             return NotImplemented
         return self.components == other.components
 
+    def _plus(self, other: "Section", sign: int) -> "Section":
+        """self + sign * other.  Over one base chart a component passes
+        through where the other one is zero, with no ring addition."""
+        same = other.algebroid.base_chart == self.algebroid.base_chart
+        comps = []
+        for a, b in zip(self.components, other.components):
+            if same and not b.terms:
+                comps.append(a)
+            elif same and not a.terms:
+                comps.append(b if sign == 1 else -b)
+            else:
+                comps.append(a + b if sign == 1 else a - b)
+        return Section(self.algebroid, comps)
+
     def __add__(self, other):
-        return Section(self.algebroid, tuple(a + b for a, b in
-                                             zip(self.components, other.components)))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return Section(self.algebroid, tuple(a - b for a, b in
-                                             zip(self.components, other.components)))
+        return self._plus(other, -1)
 
     def __neg__(self):
         return Section(self.algebroid, tuple(-a for a in self.components))
@@ -247,33 +259,27 @@ def bracket_sections(A: AlgebroidPatch, mu: Section, eta: Section) -> Section:
 
         sum_ij mu_i eta_j c_ij^k + rho(mu)(eta_k) - rho(eta)(mu_k).
 
-    Only products of two nonzero factors are formed.
+    Only products of two nonzero factors are formed, and each component
+    is summed by one kernel call.
     """
     if mu.algebroid is not A and mu.algebroid.rank != A.rank:
         raise AlgebroidError("section rank mismatch")
     if eta.algebroid is not A and eta.algebroid.rank != A.rank:
         raise AlgebroidError("section rank mismatch")
+    chart = A.base_chart
     m, e = mu.components, eta.components
-    out: Dict[int, ExpPoly] = {}
-
-    def acc(k: int, q: ExpPoly) -> None:
-        q0 = out.get(k)
-        out[k] = q if q0 is None else q0 + q
-
-    # mu_i eta_j - mu_j eta_i, shared by every k of one stored pair i < j
+    acc: List[List[Tuple[int, ExpPoly, ExpPoly]]] = [[] for _ in range(A.rank)]
+    # mu_i eta_j - mu_j eta_i, shared by every k of one stored pair i < j;
+    # None when both products vanish
     skew: Dict[Tuple[int, int], Optional[ExpPoly]] = {}
     for (i, j, k), c in A.structure.items():
         if (i, j) not in skew:
-            d = None
-            if m[i - 1].terms and e[j - 1].terms:
-                d = m[i - 1] * e[j - 1]
-            if m[j - 1].terms and e[i - 1].terms:
-                q = m[j - 1] * e[i - 1]
-                d = -q if d is None else d - q
-            skew[(i, j)] = d
+            products = [(s, m[a - 1], e[b - 1]) for s, a, b in ((1, i, j), (-1, j, i))
+                        if m[a - 1].terms and e[b - 1].terms]
+            skew[(i, j)] = sum_of_products(chart, products) if products else None
         d = skew[(i, j)]
         if d is not None:
-            acc(k, c * d)
+            acc[k - 1].append((1, c, d))
     # rho(mu)(eta_k) - rho(eta)(mu_k) = sum over rho^l_i of
     # mu_i rho^l_i d_l(eta_k) - eta_i rho^l_i d_l(mu_k)
     names = A.base_chart.names
@@ -293,25 +299,21 @@ def bracket_sections(A: AlgebroidPatch, mu: Section, eta: Section) -> Section:
                     continue
                 if fr is None:
                     fr = f[i - 1] * r
-                q = fr * dg
-                acc(k + 1, q if sign == 1 else -q)
-    zero = ExpPoly.zero(A.base_chart)
-    return Section(A, [out.get(k, zero) for k in range(1, A.rank + 1)])
+                acc[k].append((sign, fr, dg))
+    zero = ExpPoly.zero(chart)
+    return Section(A, [sum_of_products(chart, ps) if ps else zero for ps in acc])
 
 
 def anchor_apply(A: AlgebroidPatch, mu: Section) -> Multivector:
     """rho(mu) = sum_i mu_i rho^l_i d/dx_l as a vector field on the base."""
     if mu.algebroid.rank != A.rank:
         raise AlgebroidError("section rank mismatch")
-    comps: Dict[Tuple[int, ...], ExpPoly] = {}
+    products: Products = {}
     for (l, i), p in A.anchor.items():
         a = mu.components[i - 1]
-        if not a.terms:
-            continue
-        q = a * p
-        q0 = comps.get((l,))
-        comps[(l,)] = q if q0 is None else q0 + q
-    return Multivector(A.base_chart, 1, comps)
+        if a.terms:
+            products.setdefault((l,), []).append((1, a, p))
+    return Multivector(A.base_chart, 1, _sums(A.base_chart, products))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +373,9 @@ def verify_cocycle(A: AlgebroidPatch, phi: Cocycle) -> Report:
         rho = [anchor_apply(A, Section.basis(A, i)) for i in range(1, A.rank + 1)]
         for i in range(1, A.rank + 1):
             for j in range(i + 1, A.rank + 1):
-                res = ExpPoly.zero(A.base_chart)
-                for k in range(1, A.rank + 1):
-                    res = res + A.c(i, j, k) * phi.components[k - 1]
+                res = sum_of_products(A.base_chart, [
+                    (1, A.c(i, j, k), phi.components[k - 1])
+                    for k in range(1, A.rank + 1)])
                 res = res - rho[i - 1].apply(phi.components[j - 1])
                 res = res + rho[j - 1].apply(phi.components[i - 1])
                 if not res.is_zero:

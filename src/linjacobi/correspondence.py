@@ -324,18 +324,18 @@ def _pair_diff(pair: AlgebroidWithCocycle, B: AlgebroidPatch,
     for i in range(1, A.rank + 1):
         for j in range(i + 1, A.rank + 1):
             for k in range(1, A.rank + 1):
-                d = A.c(i, j, k) - B.c(i, j, k)
-                if not d.is_zero:
-                    diffs.append(f"c[{i},{j}]^{k}: {d.render()}")
+                a, b = A.c(i, j, k), B.c(i, j, k)
+                if a != b:
+                    diffs.append(f"c[{i},{j}]^{k}: {(a - b).render()}")
     for l in range(A.base_chart.dim):
         for i in range(1, A.rank + 1):
-            d = A.rho(l, i) - B.rho(l, i)
-            if not d.is_zero:
-                diffs.append(f"rho[{A.base_chart.names[l]},{i}]: {d.render()}")
+            a, b = A.rho(l, i), B.rho(l, i)
+            if a != b:
+                diffs.append(f"rho[{A.base_chart.names[l]},{i}]: {(a - b).render()}")
     for i in range(A.rank):
-        d = pair.cocycle.components[i] - phi.components[i]
-        if not d.is_zero:
-            diffs.append(f"phi[{i+1}]: {d.render()}")
+        a, b = pair.cocycle.components[i], phi.components[i]
+        if a != b:
+            diffs.append(f"phi[{i+1}]: {(a - b).render()}")
     return diffs
 
 

@@ -12,16 +12,26 @@ anticommuting symbols theta_i, and
 which restricts to X(f) on (vector, function) pairs and to the Lie bracket
 on pairs of vector fields.  All contraction signs are fixed by nesting
 single contractions left to right, so that <dx^I, d/dx_I> = +1.
+
+Every component that is a sum of products is summed by one call of the
+ring's kernel `sum_of_products`.  Pfaffians come from one memoised
+routine, `_pfaffians`, which expands along the first row over shared
+sub-Pfaffians, so a matrix's Pfaffian and all its minors read from one
+memo: one expansion per row subset.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .chart import Chart
-from .ring import ChartMismatchError, ExpPoly, Scalar
+from .ring import ChartMismatchError, ExpPoly, Scalar, sum_of_products
 
 Index = Tuple[int, ...]
+# the signed products that sum to each component of a result; the class
+# is named by a string, since typing caches the alias for good and would
+# otherwise hold on to this module's ExpPoly after a reimport
+Products = Dict[Index, List[Tuple[int, "ExpPoly", "ExpPoly"]]]
 
 
 class GradeError(ValueError):
@@ -43,6 +53,11 @@ def _sort_index(idx: Iterable[int]) -> Tuple[Optional[Index], int]:
         if a == b:
             return None, 0
     return tuple(idx), sign
+
+
+def _sums(chart: Chart, products: Products) -> Dict[Index, ExpPoly]:
+    """Each component's sum of products, by one kernel call per index."""
+    return {idx: sum_of_products(chart, ps) for idx, ps in products.items()}
 
 
 class GradedSkew:
@@ -184,18 +199,13 @@ class GradedSkew:
         grade = self.grade + other.grade
         if grade > self.chart.dim:
             return self._like({}, grade)
-        comps: Dict[Index, ExpPoly] = {}
+        products: Products = {}
         for i1, p1 in self.comps.items():
             for i2, p2 in other.comps.items():
                 sidx, sign = _sort_index(i1 + i2)
-                if sidx is None:
-                    continue
-                q = p1 * p2
-                if sign == -1:
-                    q = -q
-                q0 = comps.get(sidx)
-                comps[sidx] = q if q0 is None else q0 + q
-        return self._like(comps, grade)
+                if sidx is not None:
+                    products.setdefault(sidx, []).append((sign, p1, p2))
+        return self._like(_sums(self.chart, products), grade)
 
     def __xor__(self, other):
         return self.wedge(other)
@@ -249,10 +259,9 @@ class Multivector(GradedSkew):
         """Derivation action of a vector field on a function."""
         if self.grade != 1:
             raise GradeError("only vector fields act on functions")
-        out = ExpPoly.zero(self.chart)
-        for (i,), p in self.comps.items():
-            out = out + p * f.partial(self.chart.names[i])
-        return out
+        names = self.chart.names
+        return sum_of_products(self.chart, [(1, p, f.partial(names[i]))
+                                            for (i,), p in self.comps.items()])
 
 
 class DiffForm(GradedSkew):
@@ -266,12 +275,13 @@ class DiffForm(GradedSkew):
 # Schouten-Nijenhuis bracket
 # ---------------------------------------------------------------------------
 
-def _add_odd_terms(out: Dict[Index, ExpPoly], T: Multivector, U: Multivector,
-                   sign: int, t_first: bool) -> None:
-    """Add  sign * sum_l (dT/dtheta_l) ^ (dU/dx_l)  to `out`, with the two
-    wedge factors swapped when not `t_first`.  The left Grassmann derivative
-    of dx^I at the position pos of l in I is (-1)^pos dx^(I without l), so
-    every product lands, signed by sorting its index, in one component."""
+def _add_odd_terms(out: Products, T: Multivector, U: Multivector,
+                   scale: int, t_first: bool) -> None:
+    """Add the products of  scale * sum_l (dT/dtheta_l) ^ (dU/dx_l)  to
+    `out`, with the two wedge factors swapped when not `t_first`.  The left
+    Grassmann derivative of dx^I at the position pos of l in I is
+    (-1)^pos dx^(I without l), so every product lands, signed by sorting
+    its index, in one component."""
     names = T.chart.names
     partials: Dict[Tuple[Index, int], ExpPoly] = {}
     for tidx, t in T.comps.items():
@@ -284,13 +294,9 @@ def _add_odd_terms(out: Dict[Index, ExpPoly], T: Multivector, U: Multivector,
                 if not du.terms:
                     continue
                 sidx, s = _sort_index(rest + uidx if t_first else uidx + rest)
-                if sidx is None:
-                    continue
-                q = t * du
-                if (s if pos % 2 == 0 else -s) != sign:
-                    q = -q
-                q0 = out.get(sidx)
-                out[sidx] = q if q0 is None else q0 + q
+                if sidx is not None:
+                    c = scale * s if pos % 2 == 0 else -scale * s
+                    out.setdefault(sidx, []).append((c, t, du))
 
 
 def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
@@ -317,16 +323,15 @@ def sn_bracket(P: Multivector, Q: Multivector) -> Multivector:
         raise ChartMismatchError("operands on different charts")
     grade = max(P.grade + Q.grade - 1, 0)
     twist = -1 if ((P.grade - 1) * (Q.grade - 1)) % 2 else 1
-    out: Dict[Index, ExpPoly] = {}
+    products: Products = {}
     if P is Q and P.grade % 2 == 0:
-        _add_odd_terms(out, P, P, 1, True)
-        out = {i: 2 * q for i, q in out.items()}
+        _add_odd_terms(products, P, P, 2, True)
     else:
-        _add_odd_terms(out, P, Q, -twist if (P.grade - 1) % 2 else twist, True)
-        _add_odd_terms(out, Q, P, -twist, False)
+        _add_odd_terms(products, P, Q, -twist if (P.grade - 1) % 2 else twist, True)
+        _add_odd_terms(products, Q, P, -twist, False)
     if grade == 0:
-        return out.get((), ExpPoly.zero(P.chart))
-    return Multivector._make(P.chart, grade, out)
+        return sum_of_products(P.chart, products.get((), ()))
+    return Multivector._make(P.chart, grade, _sums(P.chart, products))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +371,7 @@ def interior(P: Multivector, w: DiffForm) -> Union[DiffForm, ExpPoly]:
         raise ChartMismatchError("operands on different charts")
     if P.grade > w.grade:
         raise GradeError(f"grade {P.grade} exceeds form degree {w.grade}")
-    comps: Dict[Index, ExpPoly] = {}
+    products: Products = {}
     for pidx, p in P.comps.items():
         for widx, q in w.comps.items():
             rest, sign = widx, 1
@@ -377,12 +382,10 @@ def interior(P: Multivector, w: DiffForm) -> Union[DiffForm, ExpPoly]:
                 rest = rest[:pos] + rest[pos + 1:]
                 sign = -sign if pos % 2 else sign
             else:
-                r = p * q if sign == 1 else -(p * q)
-                r0 = comps.get(rest)
-                comps[rest] = r if r0 is None else r0 + r
+                products.setdefault(rest, []).append((sign, p, q))
     if P.grade == w.grade:
-        return comps.get((), ExpPoly.zero(w.chart))
-    return DiffForm._make(w.chart, w.grade - P.grade, comps)
+        return sum_of_products(w.chart, products.get((), ()))
+    return DiffForm._make(w.chart, w.grade - P.grade, _sums(w.chart, products))
 
 
 def lie_derivative(X: Multivector, T: Union[Multivector, DiffForm]):
@@ -417,43 +420,44 @@ def sharp(L: Multivector, a: DiffForm) -> Multivector:
     """The map defined by  b(sharp(L, a)) = L(a, b)."""
     if L.grade != 2 or a.grade != 1:
         raise GradeError("sharp needs a bivector and a 1-form")
-    chart = L.chart
-    comps: Dict[Index, ExpPoly] = {}
-
-    def acc(j: int, q: ExpPoly) -> None:
-        comps[(j,)] = comps.get((j,), ExpPoly.zero(chart)) + q
-
+    products: Products = {}
     for (i, j), p in L.comps.items():
         ai = a.comps.get((i,))
         aj = a.comps.get((j,))
         if ai is not None:
-            acc(j, ai * p)
+            products.setdefault((j,), []).append((1, ai, p))
         if aj is not None:
-            acc(i, -(aj * p))
-    return Multivector(chart, 1, comps)
+            products.setdefault((i,), []).append((-1, aj, p))
+    return Multivector._make(L.chart, 1, _sums(L.chart, products))
 
 
-def _pfaffian(mat, chart: Chart) -> ExpPoly:
-    """Pfaffian of an antisymmetric matrix of ExpPoly on `chart`, by
-    recursive expansion along the first row: O((n-1)!!) products."""
-    n = len(mat)
-    if n == 0:
-        return ExpPoly.const(chart, 1)
-    if n % 2 == 1:
-        return ExpPoly.zero(chart)
-    if n == 2:
-        return mat[0][1]
-    out = ExpPoly.zero(chart)
-    rest0 = list(range(1, n))
-    for pos, k in enumerate(rest0):
-        a = mat[0][k]
-        if a.is_zero:
-            continue
-        keep = [i for i in rest0 if i != k]
-        sub = [[mat[r][c] for c in keep] for r in keep]
-        term = a * _pfaffian(sub, chart)
-        out = out + term if pos % 2 == 0 else out - term
-    return out
+def _pfaffians(mat, chart: Chart) -> Callable[[Index], ExpPoly]:
+    """pf(rows): the Pfaffian of the antisymmetric ExpPoly matrix `mat`
+    restricted to the strictly increasing row tuple `rows`, expanded
+    along its first row through one kernel call, each sub-Pfaffian
+    memoised on its row tuple.  The memo lives as long as the returned
+    function, so one solve reads a Pfaffian and all its minors from it."""
+    memo: Dict[Index, ExpPoly] = {}
+
+    def pf(rows: Index) -> ExpPoly:
+        n = len(rows)
+        if n == 2:
+            return mat[rows[0]][rows[1]]
+        p = memo.get(rows)
+        if p is None:
+            if n == 0:
+                p = ExpPoly.const(chart, 1)
+            elif n % 2:
+                p = ExpPoly.zero(chart)
+            else:
+                first = mat[rows[0]]
+                p = sum_of_products(chart, [
+                    (1 if pos % 2 else -1, first[r], pf(rows[1:pos] + rows[pos + 1:]))
+                    for pos, r in enumerate(rows) if pos and first[r].terms])
+            memo[rows] = p
+        return p
+
+    return pf
 
 
 def check_nondegenerate(L: Multivector) -> str:
@@ -471,7 +475,7 @@ def check_nondegenerate(L: Multivector) -> str:
     for (i, j), p in L.comps.items():
         mat[i][j] = p
         mat[j][i] = -p
-    pf = _pfaffian(mat, L.chart)
+    pf = _pfaffians(mat, L.chart)(tuple(range(n)))
     if pf.is_zero:
         return "degenerate"
     if pf.is_nonvanishing_constant():

@@ -49,8 +49,9 @@ class GalleryCase:
     contact: Optional[DiffForm] = None
     expected: Mapping[str, str] = field(default_factory=dict)
     expected_verdicts: Mapping[str, str] = field(default_factory=dict)
-    # (name, f(J, P) -> residual lines): J is the forward map of the pair
-    # and P its poissonization
+    # (name, f(J, P, hat) -> residual lines): J is the forward map of the
+    # pair, P its poissonization and hat the pair's hat algebroid, whose
+    # linear Poisson dual P must match
     checks: Tuple[Tuple[str, Callable[..., List[str]]], ...] = ()
 
     def run(self) -> Report:
@@ -216,7 +217,7 @@ def build_case(name: str) -> GalleryCase:
                                     (2, 3): _poly(dual, [(-1, "mu2")])})
         e = Multivector(dual, 1, {(2,): _poly(dual, -1)})
 
-        def nondegenerate(J, P):
+        def nondegenerate(J, P, hat):
             verdict = check_nondegenerate(J.lam)
             return [] if verdict == "nondegenerate_constant" else [verdict]
         return GalleryCase(name, pair=pair, dual=dual,
@@ -241,7 +242,7 @@ def build_case(name: str) -> GalleryCase:
                            expected={"lambda": lam.render(),
                                      "efield": (-X_v.transfer(dual)).render()},
                            checks=(("automorphism",
-                                    lambda J, P: _residual(sn_bracket(X, L))),))
+                                    lambda J, P, hat: _residual(sn_bracket(X, L))),))
 
     if head == "contact_R":
         if arg is None or arg < 1:
@@ -253,7 +254,7 @@ def build_case(name: str) -> GalleryCase:
         eta = DiffForm(dual, 1, eta_comps)
         Jc = contact_to_jacobi(eta)
 
-        def contact_match(J, P):
+        def contact_match(J, P, hat):
             return [] if Jc == J else [
                 f"lambda diff {(Jc.lam - J.lam).render()}",
                 f"E diff {(Jc.e_field - J.e_field).render()}"]
@@ -274,7 +275,7 @@ def build_case(name: str) -> GalleryCase:
                                     (1, 2): ExpPoly.var(dual, "t")})
         e = Multivector(dual, 1, {(1,): one})
 
-        def lift_formula(J, P):
+        def lift_formula(J, P, hat):
             # (d/dt ^ (E^c - t E^v), E^v) on the dual chart (x, xdot, t)
             E_c, E_v = (T.transfer(J.chart) for T in complete_vertical_lift(E))
             dt = Multivector.basis(J.chart, "t")
@@ -289,9 +290,7 @@ def build_case(name: str) -> GalleryCase:
     if head == "poissonization_aff1" and arg is None:
         case = build_case("aff1(2)")
 
-        def hat_recovered(J, P):
-            # this case's chart has no t, so P was built with time_name "t"
-            hat = hat_algebroid(case.pair)
+        def hat_recovered(J, P, hat):
             back = psi_inverse(
                 JacobiStructure.poisson(P.transfer(hat.dual_chart(
                     list(J.chart.fiber_names)))))
@@ -358,7 +357,7 @@ def _run_pair(case: GalleryCase, rep: Report) -> None:
 
     for name, check in case.checks:
         with rep.timed(name) as bad:
-            bad.extend(check(J, P))
+            bad.extend(check(J, P, hat))
 
 
 def _residual(res) -> List[str]:

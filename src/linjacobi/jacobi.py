@@ -9,7 +9,7 @@ from typing import List, Optional
 
 from .chart import Chart
 from .ring import ChartMismatchError, ExpPoly
-from .exterior import (DiffForm, GradeError, Multivector, _pfaffian, exterior_d,
+from .exterior import (DiffForm, GradeError, Multivector, _pfaffians, exterior_d,
                        pairing, sn_bracket)
 from .report import Report
 
@@ -165,6 +165,8 @@ def contact_to_jacobi(eta: DiffForm) -> JacobiStructure:
     for t, is B = [[0, eta], [-eta, d eta]]: lambda + d/dt ^ E = -B^-1.  For
     a < b, (B^-1)[a][b] = (-1)^(a+b) Pf(B without rows/cols a, b) / Pf(B),
     and Pf(B)^2 = det(d eta + eta (x) eta) is the determinant of flat.
+    Pf(B) and its C(n+1, 2) cofactor minors share one memo of
+    sub-Pfaffians.
     """
     if eta.grade != 1:
         raise GradeError("contact form must be a 1-form")
@@ -178,7 +180,9 @@ def contact_to_jacobi(eta: DiffForm) -> JacobiStructure:
         B[0][i + 1], B[i + 1][0] = p, -p
     for (i, j), p in exterior_d(eta).comps.items():
         B[i + 1][j + 1], B[j + 1][i + 1] = p, -p
-    pf = _pfaffian(B, chart)
+    pfs = _pfaffians(B, chart)
+    rows = tuple(range(n + 1))
+    pf = pfs(rows)
     if not pf.is_nonvanishing_constant():
         raise ContactError("flat map not exactly invertible over the ring "
                            f"(det = {(pf * pf).render()})")
@@ -186,8 +190,7 @@ def contact_to_jacobi(eta: DiffForm) -> JacobiStructure:
     inv_pf = ExpPoly(chart, {((0,) * n, -k): Fraction(1) / c})
 
     def minus_inverse(a: int, b: int) -> ExpPoly:
-        keep = [r for r in range(n + 1) if r != a and r != b]
-        cof = _pfaffian([[B[r][s] for s in keep] for r in keep], chart) * inv_pf
+        cof = pfs(rows[:a] + rows[a + 1:b] + rows[b + 1:]) * inv_pf
         return cof if (a + b) % 2 else -cof
 
     E = Multivector(chart, 1, {(j,): minus_inverse(0, j + 1) for j in range(n)})

@@ -16,6 +16,13 @@ spilling into the next field.  Values are immutable and canonical:
 gcd(den, *numerators) == 1 and den == 1 for zero, so equality of values is
 equality of `terms` and `den`.  `monomials()` reads the terms back as
 ((exponents, k), Fraction) pairs.
+
+Products are formed in one place, `sum_of_products(chart, products)`,
+which sums c * a * b over (int, ExpPoly, ExpPoly) triples in one dict
+over one running denominator; `a * b` is its one-product case.  Its
+result's `top` is the max of a.top + b.top over the nonzero products,
+which can be looser than the `top` of a chain of `+` that cancelled:
+`top` is a bound and takes no part in equality.
 """
 
 from __future__ import annotations
@@ -69,6 +76,11 @@ def _past_the_field(top: int) -> FieldOverflowError:
     bounds, reaches LIMIT."""
     return FieldOverflowError(f"a product exponent may reach {top}, past the "
                               f"{FIELD_BITS}-bit field (exponents < 2^{FIELD_BITS - 1})")
+
+
+def _mismatch(chart: Chart, other: Chart) -> ChartMismatchError:
+    """The error for an operand on `other` in arithmetic on `chart`."""
+    return ChartMismatchError(f"operands on different charts: {chart} vs {other}")
 
 
 def _decode(keys: Iterable[int], dim: int) -> Iterator[Key]:
@@ -201,14 +213,10 @@ class ExpPoly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check(self, other: "ExpPoly") -> None:
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatchError(
-                f"operands on different charts: {self.chart} vs {other.chart}")
-
     def _plus(self, other: "ExpPoly", sign: int) -> "ExpPoly":
         """self + sign * other over the lcm of the two denominators."""
-        self._check(other)
+        if other.chart is not self.chart and other.chart != self.chart:
+            raise _mismatch(self.chart, other.chart)
         d1, d2 = self.den, other.den
         if d1 == d2:
             den, terms, b = d1, dict(self.terms), sign
@@ -265,29 +273,7 @@ class ExpPoly:
             return ExpPoly._make(self.chart, terms, den, self.top)
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        self._check(other)
-        if not self.terms or not other.terms:
-            return ExpPoly.zero(self.chart)
-        top = self.top + other.top
-        if top >= LIMIT:
-            raise _past_the_field(top)
-        terms: Dict[int, int] = {}
-        get = terms.get
-        right = list(other.terms.items())
-        for k1, c1 in self.terms.items():
-            for k2, c2 in right:
-                key = k1 + k2
-                c0 = get(key)
-                if c0 is None:
-                    terms[key] = c1 * c2
-                else:
-                    c0 += c1 * c2
-                    if c0:
-                        terms[key] = c0
-                    else:
-                        del terms[key]
-        terms, den = _reduced(terms, self.den * other.den)
-        return ExpPoly._make(self.chart, terms, den, top if terms else 0)
+        return sum_of_products(self.chart, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -448,6 +434,64 @@ class ExpPoly:
 
     def __repr__(self) -> str:
         return f"ExpPoly({self.render()})"
+
+
+def sum_of_products(chart: Chart,
+                    products: Iterable[Tuple[int, ExpPoly, ExpPoly]]) -> ExpPoly:
+    """The sum of c * a * b over the (int c, ExpPoly a, ExpPoly b) triples,
+    in one pass: the ring's one multiplication loop.
+
+    The numerators accumulate in one dict over one running denominator;
+    a product whose a.den * b.den brings a new lcm rescales the dict once.
+    Terms that cancel are deleted as they do, and the sum is reduced to
+    lowest terms once at the end.  Each operand must be on `chart`, and
+    each product of two nonzero operands obeys the field guard of `*`.
+    The result's `top` is the max of a.top + b.top over the nonzero
+    products (0 for a zero sum): a bound, which can be looser than the
+    top of the same sum built by a chain of `+` whose partial sums
+    cancelled.
+    """
+    terms: Dict[int, int] = {}
+    get = terms.get
+    den = 1
+    top = 0
+    for c, a, b in products:
+        if a.chart is not chart and a.chart != chart:
+            raise _mismatch(chart, a.chart)
+        if b.chart is not chart and b.chart != chart:
+            raise _mismatch(chart, b.chart)
+        if not c or not a.terms or not b.terms:
+            continue
+        t = a.top + b.top
+        if t >= LIMIT:
+            raise _past_the_field(t)
+        if t > top:
+            top = t
+        d = a.den * b.den
+        if d != den:
+            m = lcm(den, d)
+            if m != den:
+                up = m // den
+                for key in terms:
+                    terms[key] *= up
+                den = m
+            c *= den // d
+        right = list(b.terms.items())
+        for k1, c1 in a.terms.items():
+            c1 *= c
+            for k2, c2 in right:
+                key = k1 + k2
+                c0 = get(key)
+                if c0 is None:
+                    terms[key] = c1 * c2
+                else:
+                    c0 += c1 * c2
+                    if c0:
+                        terms[key] = c0
+                    else:
+                        del terms[key]
+    terms, den = _reduced(terms, den)
+    return ExpPoly._make(chart, terms, den, top if terms else 0)
 
 
 # the slot descriptors' setters, which the immutable __setattr__ does not reach

@@ -71,6 +71,9 @@ class SpecFile:
     cocycle: Optional[Tuple[ExpPoly, ...]] = None
     lam: Optional[Multivector] = None
     e_field: Optional[Multivector] = None
+    # the base and time coordinates of `chart`, kept by the parser so that
+    # they are restricted once; None means base_chart() restricts `chart`
+    base: Optional[Chart] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def has_algebroid(self) -> bool:
@@ -81,7 +84,9 @@ class SpecFile:
         return self.lam is not None
 
     def base_chart(self) -> Chart:
-        return self.chart.restrict(("base", "time"))
+        if self.base is None:
+            return self.chart.restrict(("base", "time"))
+        return self.base
 
     def to_algebroid(self) -> AlgebroidPatch:
         if not self.has_algebroid:
@@ -298,7 +303,7 @@ class _Parser:
                 except ChartError:
                     raise self.error(str(exc), t) from None
         self.full_chart = spec.chart
-        self.base = spec.base_chart()
+        self.base = spec.base = spec.chart.restrict(("base", "time"))
 
     def _parse_algebroid(self, spec: SpecFile) -> None:
         base = self.base

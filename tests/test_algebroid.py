@@ -8,8 +8,9 @@ import pytest
 import linjacobi.algebroid as algebroid
 import linjacobi.exterior as exterior
 import linjacobi.jacobi as jacobi
-from linjacobi import (CATALOG, AlgebroidError, AlgebroidPatch, Chart, Cocycle,
-                       DiffForm, ExpPoly, Multivector, Report, Section,
+from linjacobi import (CATALOG, AlgebroidError, AlgebroidPatch, Chart,
+                       ChartMismatchError, Cocycle, DiffForm, ExpPoly,
+                       Multivector, Report, Section,
                        anchor_apply, bracket_sections, build_case,
                        cotangent_algebroid, exterior_d, interior,
                        jacobi_algebroid, lie_derivative, pairing, psi_forward,
@@ -299,3 +300,26 @@ def test_jacobi_algebroid_reads_off_components(monkeypatch):
     jacobi_algebroid(L, E)
     cotangent_algebroid(_catalog_jacobi_pair("so3")[0])
     assert calls == [[]] * 5
+
+
+def test_section_sums_pass_a_component_through_where_the_other_is_zero(monkeypatch):
+    A = AlgebroidPatch(R3, 3, anchor={(0, 1): 1})
+    x1, x2, x3 = (ExpPoly.var(R3, n) for n in R3.names)
+    s, t = Section(A, [x1, 0, x2]), Section(A, [0, 0, x3])
+    want_sum = Section(A, [x1, 0, x2 + x3])
+    want_diff = Section(A, [-x1, 0, x3 - x2])
+    adds = []
+    for name in ("__add__", "__sub__", "__neg__"):
+        op = getattr(ExpPoly, name)
+        spy = lambda *args, op=op, name=name: adds.append(name) or op(*args)
+        monkeypatch.setattr(ExpPoly, name, spy)
+    total = s + t
+    assert total.components[0] is s.components[0]
+    assert total == want_sum
+    assert adds == ["__add__"]
+    assert t - s == want_diff
+    assert adds == ["__add__", "__neg__", "__sub__"]
+    # sections over another base chart are still refused by the ring
+    other = AlgebroidPatch(base_chart(2), 3)
+    with pytest.raises(ChartMismatchError):
+        s + Section(other, [0, 0, 0])

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from linjacobi import cli
+from linjacobi import Chart, cli
 from linjacobi.cli import main, run_command
 
 from conftest import count_calls
@@ -445,3 +445,22 @@ def test_patch_after_another_section_exits_two_with_position(tmp_path):
     for command in ("verify-algebroid", "forward"):
         assert run_command([command, str(p)]) == (
             2, "error: 5:1: patch must come before every other section")
+
+
+def test_forward_restricts_the_parsed_chart_once(monkeypatch, tmp_path):
+    """The parser keeps the base chart it restricts; building the
+    algebroid and rendering the spec read it back."""
+    p = tmp_path / "patched.spec"
+    p.write_text("patch\n  x base\n  y base\nend\n\n"
+                 "algebroid\n  rank 1\n  rho[1] = x*d/dy\nend\n")
+    calls = []
+    restrict = Chart.restrict
+
+    def spy(self, roles):
+        calls.append(roles)
+        return restrict(self, roles)
+
+    monkeypatch.setattr(Chart, "restrict", spy)
+    code, _ = run_command(["forward", str(p)])
+    assert code == 0
+    assert len(calls) == 1

@@ -14,7 +14,7 @@ from linjacobi import (AlgebroidError, AlgebroidPatch, AlgebroidWithCocycle,
                        psi_forward, psi_inverse,
                        roundtrip_check, sn_bracket, verify_algebroid,
                        verify_jacobi, vertical_lift)
-from linjacobi.correspondence import _recover
+from linjacobi.correspondence import _pair_diff, _recover
 
 from conftest import base_chart, count_calls
 
@@ -243,3 +243,15 @@ def test_forward_report_catches_a_J_that_is_not_the_forward_map(idx, coeff, fail
     rep = forward_report(case.pair, JacobiStructure(d, J.lam + moved, J.e_field))
     assert {c.name: c.residual for c in rep.checks
             if c.name.startswith("bracket_") and c.verdict != "pass"} == failing
+
+
+def test_pair_diff_subtracts_only_the_values_that_differ(monkeypatch):
+    pair = aff1_pair()
+    subs = []
+    sub = ExpPoly.__sub__
+    monkeypatch.setattr(ExpPoly, "__sub__", lambda a, b: subs.append(b) or sub(a, b))
+    assert _pair_diff(pair, pair.algebroid, pair.cocycle) == []
+    assert subs == []
+    moved = Cocycle.from_scalars(POINT, (3, 0))
+    assert _pair_diff(pair, pair.algebroid, moved) == ["phi[1]: -1"]
+    assert len(subs) == 1

@@ -480,3 +480,50 @@ def test_lie_derivative_of_a_function_is_the_derivation():
     # X(f) = 0 keeps the grade of a function
     assert (lie_derivative(Multivector.zero(XYZ, 1), DiffForm.from_function(_v(XYZ, "x1")))
             == DiffForm.zero(XYZ, 0))
+
+
+# -- the memoised Pfaffian against the plain recursive expansion ---------------
+
+def _pfaffian_ref(mat, chart):
+    """Pfaffian by recursive expansion along the first row, each minor
+    copied out and expanded afresh: O((n-1)!!) products."""
+    n = len(mat)
+    if n == 0:
+        return ExpPoly.const(chart, 1)
+    if n % 2 == 1:
+        return ExpPoly.zero(chart)
+    if n == 2:
+        return mat[0][1]
+    out = ExpPoly.zero(chart)
+    for pos, k in enumerate(range(1, n)):
+        keep = [i for i in range(1, n) if i != k]
+        term = mat[0][k] * _pfaffian_ref([[mat[r][c] for c in keep] for r in keep], chart)
+        out = out + term if pos % 2 == 0 else out - term
+    return out
+
+
+def _antisymmetric(rng, chart, n):
+    """An n x n antisymmetric matrix of random polynomials, some zero."""
+    mat = [[ExpPoly.zero(chart)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = random_poly(rng, chart) if rng.random() < 0.8 else ExpPoly.zero(chart)
+            mat[i][j], mat[j][i] = p, -p
+    return mat
+
+
+def test_memoised_pfaffians_match_the_recursive_expansion():
+    """Pf of the whole matrix and of every minor without two rows, read
+    from one memo, on matrices of every size up to 8 x 8."""
+    rng = random.Random(140)
+    chart = base_chart(2)
+    for n in range(9):
+        for _ in range(3 if n < 8 else 2):
+            mat = _antisymmetric(rng, chart, n)
+            pf = exterior._pfaffians(mat, chart)
+            rows = tuple(range(n))
+            assert pf(rows) == _pfaffian_ref(mat, chart)
+            for a, b in itertools.combinations(rows, 2):
+                keep = [r for r in rows if r != a and r != b]
+                minor = [[mat[r][c] for c in keep] for r in keep]
+                assert pf(tuple(keep)) == _pfaffian_ref(minor, chart), (n, a, b)

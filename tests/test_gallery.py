@@ -211,3 +211,13 @@ def test_case_checks_report_their_failures_and_the_checklist_runs_on():
         "expected_efield": "got 2 d/dt, expected 1 d/dt",
         "contact_match": "lambda diff 1*mu1 d/dmu1^d/dt; E diff -1 d/dt",
     }
+
+
+def test_poissonization_case_builds_its_hat_algebroid_once(monkeypatch):
+    """poissonization_matches_dual builds the hat algebroid, and the case's
+    hat_recovered check reads that one."""
+    case = build_case("poissonization_aff1")
+    calls = count_calls(monkeypatch, gallery.hat_algebroid)
+    rep = run_case(case)
+    assert rep.passed and rep.check("hat_recovered").verdict == "pass"
+    assert len(calls) == 1

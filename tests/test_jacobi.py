@@ -11,6 +11,7 @@ from linjacobi import (Chart, ContactError, DiffForm, ExpPoly, JacobiStructure,
                        Multivector, build_case, check_C1, check_C2,
                        contact_to_jacobi, exterior_d, interior, jacobi_bracket,
                        pairing, poissonization, sharp, verify_jacobi)
+import linjacobi.exterior as exterior
 from linjacobi.jacobi import _gen_bracket
 
 from conftest import base_chart, random_poly
@@ -227,6 +228,49 @@ def test_contact_bivector_pairs_flats_to_d_eta(make_eta):
     for a, Xa in enumerate(basis):
         for b, Xb in enumerate(basis):
             assert pairing(lam, flats[a], flats[b]) == interior(Xa.wedge(Xb), deta)
+
+
+def sheared_R7_form() -> DiffForm:
+    """F^*(dz - y1 dx1 - y2 dx2 - y3 dx3) on R^7 for the seeded linear map
+    F(u)_i = u_i + sum_{j > i} c_ij u_j (Jacobian 1) on the chart
+    (x1, y1, x2, y2, x3, y3, z): every entry of eta and of d eta is nonzero."""
+    names = ("x1", "y1", "x2", "y2", "x3", "y3", "z")
+    chart = Chart(tuple((n, "base") for n in names))
+    rng = random.Random(1)
+    u = [ExpPoly.var(chart, n) for n in names]
+    F = []
+    for i in range(7):
+        p = u[i]
+        for j in range(i + 1, 7):
+            p = p + rng.choice([-3, -2, -1, 1, 2, 3]) * u[j]
+        F.append(p)
+    eta = exterior_d(F[6])
+    for x, y in zip(F[0:6:2], F[1:6:2]):
+        eta = eta - y * exterior_d(x)
+    return eta
+
+
+def test_contact_solve_expands_each_row_subset_once(monkeypatch):
+    """Pf(B) and its 28 cofactor minors of the 8 x 8 matrix B of a dense
+    contact form on R^7 share one memo: every row subset of 8, 6 or 4 rows
+    that first-row expansion reaches is expanded once.  Those are the whole
+    set, the 28 six-row minors and the 35 four-row subsets without row 0."""
+    eta = sheared_R7_form()
+    assert len(eta.comps) == 7 and len(exterior_d(eta).comps) == 21
+    expansions = []
+    kernel = exterior.sum_of_products
+
+    def spy(chart, products):
+        expansions.append(tuple(products))
+        return kernel(chart, products)
+
+    monkeypatch.setattr(exterior, "sum_of_products", spy)
+    J = contact_to_jacobi(eta)
+    assert len(set(expansions)) == len(expansions) == 1 + 28 + 35
+    monkeypatch.undo()
+    assert interior(J.e_field, eta) == ExpPoly.const(eta.chart, 1)
+    assert interior(J.e_field, exterior_d(eta)).is_zero
+    assert verify_jacobi(J).passed
 
 
 def _C1_failures(chart, lam, e):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from linjacobi import (Chart, ChartMismatchError, EvalError, ExpPoly,
                        FieldOverflowError)
+from linjacobi.ring import sum_of_products
 
 from conftest import random_poly
 
@@ -388,3 +389,91 @@ def test_products_past_the_field_width_are_refused_not_wrapped(key, below):
         assert list(p.monomials()) == [((exps, k), 1)]
     else:
         pytest.fail("a product past 2^63 was not refused")
+
+
+# -- the sum-of-products kernel -------------------------------------------------
+
+def _fold(chart, products):
+    """The same sum built by `*` and `+`, one ExpPoly at a time."""
+    out = ExpPoly.zero(chart)
+    for c, a, b in products:
+        out = out + c * (a * b)
+    return out
+
+
+def test_sum_of_products_equals_the_fold_of_mul_and_add():
+    """Denominators 1-9 mixed within one sum, a time chart with negative
+    s-exponents, scales 2, -1 and 0, sums that cancel to zero, and the
+    empty sum: the kernel's terms and denominator are the fold's."""
+    rng = random.Random(140)
+    cancelled = 0
+    for chart in REF_CHARTS:
+        for _ in range(40):
+            polys = [ExpPoly(chart, _ref_poly(rng, chart)) for _ in range(4)]
+            products = [(rng.choice([2, -1, 0, 1, 3]), *rng.choices(polys, k=2))
+                        for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.3:
+                # every product followed by its negative: the sum is zero
+                products += [(-c, b, a) for c, a, b in products]
+            got, want = sum_of_products(chart, products), _fold(chart, products)
+            _assert_canonical(got)
+            assert (got.terms, got.den) == (want.terms, want.den)
+            cancelled += bool(products) and got.is_zero
+    assert cancelled >= 20
+    assert sum_of_products(XY, []) == ExpPoly.zero(XY)
+    assert sum_of_products(XY, []).den == 1
+
+
+def test_sum_of_products_rescales_to_a_new_common_denominator():
+    x = ExpPoly.var(XT, "x")
+    third = Fraction(1, 3) * ExpPoly.s_power(XT, -2)
+    half = Fraction(1, 2) * x
+    got = sum_of_products(XT, [(1, half, x), (2, third, x), (-1, half, half)])
+    assert got == Fraction(1, 4) * x * x + Fraction(2, 3) * x * ExpPoly.s_power(XT, -2)
+    assert got.den == 12
+    assert sum_of_products(XT, [(4, half, half), (-1, x, x)]).is_zero
+
+
+def test_sum_of_products_top_bounds_the_nonzero_products():
+    x, y = ExpPoly.var(XY, "x"), ExpPoly.var(XY, "y")
+    x2 = x * x
+    # the x^2 * x^2 product is zero-scaled and the y product is by zero
+    got = sum_of_products(XY, [(1, x, y), (0, x2, x2), (1, ExpPoly.zero(XY), x2)])
+    assert got == x * y and got.top == 2
+    # x^2 * y cancels, but its bound 3 still counts
+    got = sum_of_products(XY, [(1, x2, y), (-1, y, x2), (1, x, x)])
+    assert got == x2 and got.top == 3
+    assert sum_of_products(XY, [(1, x, y), (-1, y, x)]).top == 0
+
+
+@pytest.mark.parametrize("position", [1, 2])
+def test_sum_of_products_refuses_an_operand_on_another_chart(position):
+    x, other = ExpPoly.var(XY, "x"), ExpPoly.var(XMU, "x")
+    product = (1, other, x) if position == 1 else (1, x, other)
+    with pytest.raises(ChartMismatchError) as exc:
+        sum_of_products(XY, [(1, x, x), product])
+    assert str(exc.value) == f"operands on different charts: {XY} vs {XMU}"
+    # an operand that is zero on another chart is refused as by `*`
+    for zero in (ExpPoly.zero(XMU), ExpPoly.zero(Chart(()))):
+        with pytest.raises(ChartMismatchError):
+            sum_of_products(XY, [(1, x, zero)])
+        with pytest.raises(ChartMismatchError):
+            x * zero
+
+
+def test_sum_of_products_has_the_field_guard_of_mul():
+    """A product whose bound reaches 2^63 raises, as `*` does, even after
+    a product that fits and when it would cancel; one just below fits."""
+    big, below = ExpPoly(YX, {((0, H, 0), 0): 1}), ExpPoly(YX, {((0, H - 1, 0), 0): 1})
+    with pytest.raises(FieldOverflowError):
+        big * big
+    with pytest.raises(FieldOverflowError):
+        sum_of_products(YX, [(1, below, below), (1, big, big), (-1, big, big)])
+    with pytest.raises(FieldOverflowError):
+        sum_of_products(YX, [(1, ExpPoly(YX, {((0, 0, 0), -H): 1}),
+                              ExpPoly(YX, {((0, 0, 0), -H): 1}))])
+    got = sum_of_products(YX, [(1, big, below)])
+    assert list(got.monomials()) == [(((0, L - 1, 0), 0), 1)]
+    assert got == big * below
+    # a zero-scaled or zero product is not formed, so it is not refused
+    assert sum_of_products(YX, [(0, big, big), (1, ExpPoly.zero(YX), big)]).is_zero
